@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt fmt-check lint lint-analyzers ci check bench bench-smoke smoke smoke-obs smoke-trace smoke-genalgd smoke-loadgen fuzz-short check-baselines update-baselines fuzz-sql-short fuzz-sql
+.PHONY: all build bench-module test race vet fmt fmt-check lint lint-analyzers ci check bench bench-smoke smoke smoke-obs smoke-trace smoke-genalgd smoke-loadgen fuzz-short check-baselines update-baselines fuzz-sql-short fuzz-sql
 
 all: check
 
@@ -41,9 +41,16 @@ lint-analyzers: bin/genalgvet
 	$(GO) vet -vettool=$(CURDIR)/bin/genalgvet ./...
 	./bin/genalgvet -audit-ignores ./...
 
+# bench-module vets and tests the perfbench module, which has its own
+# go.mod and so is outside `./...`: an API change that breaks the
+# benchmark driver fails here. (No `go build`: it would leave a
+# perfbench/perfbench binary in the tree.)
+bench-module:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # ci is exactly what the GitHub Actions test job runs; `make ci` locally
 # reproduces it.
-ci: lint lint-analyzers build test race check-baselines smoke-genalgd smoke-loadgen
+ci: lint lint-analyzers build bench-module test race check-baselines smoke-genalgd smoke-loadgen
 
 # check is the verification gate: lint clean, everything builds, and the
 # full test suite passes under the race detector.

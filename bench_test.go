@@ -89,12 +89,12 @@ func BenchmarkFig3WarehouseQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := w.InitialLoad(e1Repos(200)); err != nil {
+	if _, err := w.InitialLoad(context.Background(), e1Repos(200)); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.Query("bench", `SELECT id FROM fragments WHERE contains(fragment, 'ACGTACG')`); err != nil {
+		if _, err := w.Query(context.Background(), "bench", `SELECT id FROM fragments WHERE contains(fragment, 'ACGTACG')`); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -130,12 +130,12 @@ func BenchmarkE1WarehouseVsMediator(b *testing.B) {
 				for _, r := range repos {
 					_ = sources.NewRemote(r, latency, 0).Snapshot() // pay the load transfer
 				}
-				if _, err := w.InitialLoad(repos); err != nil {
+				if _, err := w.InitialLoad(context.Background(), repos); err != nil {
 					b.Fatal(err)
 				}
 				for q := 0; q < nq; q++ {
 					sql := fmt.Sprintf(`SELECT id FROM fragments WHERE contains(fragment, '%s')`, patterns[q%len(patterns)])
-					if _, err := w.Query("bench", sql); err != nil {
+					if _, err := w.Query(context.Background(), "bench", sql); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -274,10 +274,10 @@ func BenchmarkE3ViewMaintenance(b *testing.B) {
 			}
 			repo := sources.NewRepo("src", sources.FormatCSV, sources.CapQueryable,
 				sources.Generate(21, sources.GenOptions{N: n}))
-			if _, err := w.InitialLoad([]*sources.Repo{repo}); err != nil {
+			if _, err := w.InitialLoad(context.Background(), []*sources.Repo{repo}); err != nil {
 				b.Fatal(err)
 			}
-			det, err := etl.NewSnapshotDiffMonitor(repo)
+			det, err := etl.NewSnapshotDiffMonitor(context.Background(), repo)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -293,7 +293,7 @@ func BenchmarkE3ViewMaintenance(b *testing.B) {
 					b.Fatal(err)
 				}
 				t0 := time.Now()
-				if err := w.ApplyDeltas(deltas); err != nil {
+				if _, err := w.ApplyDeltas(context.Background(), deltas); err != nil {
 					b.Fatal(err)
 				}
 				applyNS += time.Since(t0).Nanoseconds()
@@ -307,7 +307,7 @@ func BenchmarkE3ViewMaintenance(b *testing.B) {
 			}
 			repo := sources.NewRepo("src", sources.FormatCSV, sources.CapQueryable,
 				sources.Generate(21, sources.GenOptions{N: n}))
-			if _, err := w.InitialLoad([]*sources.Repo{repo}); err != nil {
+			if _, err := w.InitialLoad(context.Background(), []*sources.Repo{repo}); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
@@ -332,7 +332,7 @@ func loadedFragmentsK(b *testing.B, n int, indexed bool, k int) (*warehouse.Ware
 	}
 	repo := sources.NewRepo("src", sources.FormatCSV, sources.CapQueryable,
 		sources.Generate(41, sources.GenOptions{N: n}))
-	if _, err := w.InitialLoad([]*sources.Repo{repo}); err != nil {
+	if _, err := w.InitialLoad(context.Background(), []*sources.Repo{repo}); err != nil {
 		b.Fatal(err)
 	}
 	if indexed {
@@ -363,7 +363,7 @@ func BenchmarkE4GenomicIndex(b *testing.B) {
 				sql := fmt.Sprintf(`SELECT id FROM fragments WHERE contains(fragment, '%s')`, pat)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := w.Query("bench", sql); err != nil {
+					if _, err := w.Query(context.Background(), "bench", sql); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -385,7 +385,7 @@ func BenchmarkE5ContainsQuery(b *testing.B) {
 			w, _ := loadedFragmentsK(b, 2000, indexed, 8)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := w.Query("bench", `SELECT id FROM fragments WHERE contains(fragment, 'ATTGCCATA')`); err != nil {
+				if _, err := w.Query(context.Background(), "bench", `SELECT id FROM fragments WHERE contains(fragment, 'ATTGCCATA')`); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -473,7 +473,7 @@ func BenchmarkE8SelectivityPlanning(b *testing.B) {
 		}
 		repo := sources.NewRepo("src", sources.FormatCSV, sources.CapQueryable,
 			sources.Generate(61, sources.GenOptions{N: 1500}))
-		if _, err := w.InitialLoad([]*sources.Repo{repo}); err != nil {
+		if _, err := w.InitialLoad(context.Background(), []*sources.Repo{repo}); err != nil {
 			b.Fatal(err)
 		}
 		return w.Engine
@@ -549,7 +549,7 @@ func BenchmarkE9Alignment(b *testing.B) {
 		q := mk(100, 1000).Slice(0, 200)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_ = dbx.Search(q, align.SearchOptions{MinScore: 20})
+			_ = dbx.Search(context.Background(), q, align.SearchOptions{MinScore: 20}, 0)
 		}
 	})
 }
@@ -568,7 +568,7 @@ func BenchmarkE10ArchivalUserSpace(b *testing.B) {
 			}
 			repo := sources.NewRepo("vanishing", sources.FormatCSV, sources.CapQueryable,
 				sources.Generate(81, sources.GenOptions{N: 1000}))
-			if _, err := w.InitialLoad([]*sources.Repo{repo}); err != nil {
+			if _, err := w.InitialLoad(context.Background(), []*sources.Repo{repo}); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()
@@ -595,7 +595,7 @@ func BenchmarkE10ArchivalUserSpace(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sql := fmt.Sprintf(`INSERT INTO alice_notes VALUES ('n%d', 'observation %d')`, i, i)
-			if _, err := w.Query("alice", sql); err != nil {
+			if _, err := w.Query(context.Background(), "alice", sql); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -821,7 +821,7 @@ func BenchmarkE12ParallelSpeedup(b *testing.B) {
 	for _, workers := range e12Workers {
 		b.Run(fmt.Sprintf("align/workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := align.GlobalAll(jobs, align.DefaultScoring, workers); err != nil {
+				if _, err := align.GlobalAll(context.Background(), jobs, align.DefaultScoring, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -841,7 +841,7 @@ func BenchmarkE12ParallelSpeedup(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := ix.AddAll(docs, workers); err != nil {
+				if err := ix.AddAll(context.Background(), docs, workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -902,7 +902,7 @@ func BenchmarkE12ParallelSpeedup(b *testing.B) {
 				w.Workers = workers
 				repos := e1Repos(250)
 				b.StartTimer()
-				if _, err := w.InitialLoad(repos); err != nil {
+				if _, err := w.InitialLoad(context.Background(), repos); err != nil {
 					b.Fatal(err)
 				}
 			}

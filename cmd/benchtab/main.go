@@ -133,7 +133,7 @@ func e12ParallelSpeedup() error {
 	}
 	scanRepo := sources.NewRepo("src", sources.FormatCSV, sources.CapQueryable,
 		sources.Generate(92, sources.GenOptions{N: scaled(2000), SeqLen: 400}))
-	if _, err := wScan.InitialLoad([]*sources.Repo{scanRepo}); err != nil {
+	if _, err := wScan.InitialLoad(context.Background(), []*sources.Repo{scanRepo}); err != nil {
 		return err
 	}
 	pat := scanRepo.Records()[len(scanRepo.Records())/2].Sequence[40:72]
@@ -152,7 +152,7 @@ func e12ParallelSpeedup() error {
 		run  func(workers int) error
 	}{
 		{"align-batch", func(workers int) error {
-			_, err := align.GlobalAll(jobs, align.DefaultScoring, workers)
+			_, err := align.GlobalAll(context.Background(), jobs, align.DefaultScoring, workers)
 			return err
 		}},
 		{"kmeridx-build", func(workers int) error {
@@ -160,11 +160,11 @@ func e12ParallelSpeedup() error {
 			if err != nil {
 				return err
 			}
-			return ix.AddAll(docs, workers)
+			return ix.AddAll(context.Background(), docs, workers)
 		}},
 		{"table-scan", func(workers int) error {
 			wScan.Engine.Workers = workers
-			_, err := wScan.Query("bench", scanQuery)
+			_, err := wScan.Query(context.Background(), "bench", scanQuery)
 			return err
 		}},
 		{"warehouse-load", func(workers int) error {
@@ -177,7 +177,7 @@ func e12ParallelSpeedup() error {
 			for i, recs := range loadRecs {
 				repos[i] = sources.NewRepo(fmt.Sprintf("s%d", i+1), formats[i], sources.CapQueryable, recs)
 			}
-			_, err = w.InitialLoad(repos)
+			_, err = w.InitialLoad(context.Background(), repos)
 			return err
 		}},
 	}
@@ -354,12 +354,12 @@ func e1WarehouseVsMediator() error {
 			remote := sources.NewRemote(r, latency, 0)
 			_ = remote.Snapshot() // simulate the paid transfer
 		}
-		if _, err := w.InitialLoad(repos); err != nil {
+		if _, err := w.InitialLoad(context.Background(), repos); err != nil {
 			return err
 		}
 		for i := 0; i < nq; i++ {
 			q := fmt.Sprintf(`SELECT id FROM fragments WHERE contains(fragment, '%s')`, patterns[i%len(patterns)])
-			if _, err := w.Query("bench", q); err != nil {
+			if _, err := w.Query(context.Background(), "bench", q); err != nil {
 				return err
 			}
 		}
@@ -444,10 +444,10 @@ func e3ViewMaintenance() error {
 		}
 		repo := sources.NewRepo("src", sources.FormatCSV, sources.CapQueryable,
 			sources.Generate(21, sources.GenOptions{N: n}))
-		if _, err := wInc.InitialLoad([]*sources.Repo{repo}); err != nil {
+		if _, err := wInc.InitialLoad(context.Background(), []*sources.Repo{repo}); err != nil {
 			return err
 		}
-		det, err := etl.NewSnapshotDiffMonitor(repo)
+		det, err := etl.NewSnapshotDiffMonitor(context.Background(), repo)
 		if err != nil {
 			return err
 		}
@@ -457,7 +457,7 @@ func e3ViewMaintenance() error {
 			return err
 		}
 		start := time.Now()
-		if err := wInc.ApplyDeltas(deltas); err != nil {
+		if _, err := wInc.ApplyDeltas(context.Background(), deltas); err != nil {
 			return err
 		}
 		incTime := time.Since(start)
@@ -469,7 +469,7 @@ func e3ViewMaintenance() error {
 		}
 		repo2 := sources.NewRepo("src", sources.FormatCSV, sources.CapQueryable,
 			sources.Generate(21, sources.GenOptions{N: n}))
-		if _, err := wFull.InitialLoad([]*sources.Repo{repo2}); err != nil {
+		if _, err := wFull.InitialLoad(context.Background(), []*sources.Repo{repo2}); err != nil {
 			return err
 		}
 		repo2.ApplyRandomUpdates(31, churn)
@@ -496,7 +496,7 @@ func e4IndexVsScan() error {
 		}
 		repo := sources.NewRepo("src", sources.FormatCSV, sources.CapQueryable,
 			sources.Generate(41, sources.GenOptions{N: n}))
-		if _, err := w.InitialLoad([]*sources.Repo{repo}); err != nil {
+		if _, err := w.InitialLoad(context.Background(), []*sources.Repo{repo}); err != nil {
 			return err
 		}
 		// The pattern is drawn from a real record so both paths do work.
@@ -505,7 +505,7 @@ func e4IndexVsScan() error {
 		const reps = 5
 		start := time.Now()
 		for i := 0; i < reps; i++ {
-			if _, err := w.Query("bench", q); err != nil {
+			if _, err := w.Query(context.Background(), "bench", q); err != nil {
 				return err
 			}
 		}
@@ -517,7 +517,7 @@ func e4IndexVsScan() error {
 		}
 		start = time.Now()
 		for i := 0; i < reps; i++ {
-			if _, err := w.Query("bench", q); err != nil {
+			if _, err := w.Query(context.Background(), "bench", q); err != nil {
 				return err
 			}
 		}

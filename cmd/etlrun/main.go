@@ -139,7 +139,7 @@ func run(cfg runConfig) error {
 			sources.Generate(50, sources.GenOptions{N: cfg.records, IDPrefix: "FAS"})),
 	}
 	start := time.Now()
-	stats, err := w.InitialLoadCtx(ctx, repos)
+	stats, err := w.InitialLoad(ctx, repos)
 	if err != nil {
 		return err
 	}
@@ -187,7 +187,7 @@ func run(cfg runConfig) error {
 	}
 	w.SetManualRefresh(cfg.manual)
 
-	pipeline := etl.NewReportingPipelineCtx(detectors, w.ApplyDeltasReportCtx)
+	pipeline := etl.NewPipeline(detectors, w.ApplyDeltas)
 	pipelinePtr.Store(pipeline)
 	resilient := cfg.faults > 0 || cfg.retries > 1
 	const breakerCooldown = 50 * time.Millisecond
@@ -209,7 +209,7 @@ func run(cfg runConfig) error {
 				r.ApplyRandomUpdates(int64(round*100+i), cfg.updates)
 			}
 			t0 := time.Now()
-			rep, err := pipeline.RoundDetailed(ctx)
+			rep, err := pipeline.Round(ctx)
 			if err != nil {
 				return err
 			}
@@ -229,7 +229,7 @@ func run(cfg runConfig) error {
 				}
 				detectTime := time.Since(t0)
 				t0 = time.Now()
-				if err := w.ApplyDeltas(deltas); err != nil {
+				if _, err := w.ApplyDeltas(context.Background(), deltas); err != nil {
 					return fmt.Errorf("applying deltas of %s: %w", r.Name(), err)
 				}
 				fmt.Printf("  %-16s %3d mutations -> %3d deltas  detect=%-10v apply=%v\n",
@@ -238,7 +238,7 @@ func run(cfg runConfig) error {
 			}
 		}
 		if cfg.manual {
-			n, err := w.Refresh()
+			n, err := w.Refresh(context.Background())
 			if err != nil {
 				return err
 			}
@@ -255,7 +255,7 @@ func run(cfg runConfig) error {
 		}
 		time.Sleep(20 * time.Millisecond)
 		for i := 0; i < 8; i++ {
-			rep, err := pipeline.RoundDetailed(ctx)
+			rep, err := pipeline.Round(ctx)
 			if err != nil {
 				return err
 			}
@@ -287,7 +287,7 @@ func run(cfg runConfig) error {
 	}
 
 	// Closing report: a query proving the warehouse is live.
-	r, err := w.QueryCtx(ctx, "etlrun", `SELECT COUNT(*), AVG(quality) FROM fragments`)
+	r, err := w.Query(ctx, "etlrun", `SELECT COUNT(*), AVG(quality) FROM fragments`)
 	if err != nil {
 		return err
 	}

@@ -46,7 +46,7 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 5*time.Minute, "close sessions idle longer than this")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "grace period for in-flight statements on SIGTERM")
 	obsAddr := flag.String("obs-addr", "", "serve /metrics, /healthz, /readyz, /debug/pprof on this address")
-	checkpointBytes := flag.Int64("checkpoint-bytes", 64<<20, "compact the WAL when it grows past this size (0 disables)")
+	checkpointBytes := flag.Int64("checkpoint-bytes", 64<<20, "compact the WAL once it has grown by this many bytes since the last checkpoint (0 disables)")
 	groupWindow := flag.Duration("group-window", 500*time.Microsecond, "WAL group-commit fsync-coalescing window (0 syncs immediately)")
 	slow := flag.Duration("slow", 0, "slow-query log threshold (0 disables)")
 	flag.Parse()
@@ -87,13 +87,7 @@ func run(addr, data string, poolPages, maxConns int, idleTimeout, drainTimeout t
 
 	var obsSrv *httpserve.Server
 	if obsAddr != "" {
-		checks := []httpserve.Check{{Name: "genalgd.draining", Probe: func() error {
-			if srv.Draining() {
-				return fmt.Errorf("draining")
-			}
-			return nil
-		}}}
-		obsSrv, err = httpserve.Start(obsAddr, httpserve.Options{Readiness: checks})
+		obsSrv, err = httpserve.Start(obsAddr, httpserve.Options{Readiness: readiness(srv, d)})
 		if err != nil {
 			return err
 		}
@@ -128,5 +122,20 @@ func run(addr, data string, poolPages, maxConns int, idleTimeout, drainTimeout t
 		}
 		log.Printf("genalgd: drained, shutting down")
 		return <-serveErr
+	}
+}
+
+// readiness lists the /readyz probes: the daemon is not ready while it
+// drains, or while the last auto-checkpoint failure stands (the log then
+// grows without bound and may be unable to accept writes).
+func readiness(srv *genalgd.Server, d *db.DB) []httpserve.Check {
+	return []httpserve.Check{
+		{Name: "genalgd.draining", Probe: func() error {
+			if srv.Draining() {
+				return fmt.Errorf("draining")
+			}
+			return nil
+		}},
+		{Name: "db.checkpoint", Probe: d.CheckpointErr},
 	}
 }

@@ -113,7 +113,7 @@ func run(records int, noisy bool, lang, user, geneID string, catalog bool, slow 
 		sources.NewRepo("embl1", sources.FormatFASTA, sources.CapQueryable,
 			sources.Generate(1, sources.GenOptions{N: records, ErrorRate: rate})),
 	}
-	stats, err := w.InitialLoadCtx(ctx, repos)
+	stats, err := w.InitialLoad(ctx, repos)
 	if err != nil {
 		return err
 	}
@@ -279,13 +279,13 @@ func runOne(ctx context.Context, w *warehouse.Warehouse, lang, user, geneID, que
 			return err
 		}
 		fmt.Printf("-- BiQL: %s\n-- SQL:  %s\n", query, sql)
-		r, err := w.QueryCtx(ctx, user, sql)
+		r, err := w.Query(ctx, user, sql)
 		if err != nil {
 			return err
 		}
 		fmt.Println(biql.Render(q, r.Cols, r.Rows))
 	case "sql":
-		r, err := w.QueryCtx(ctx, user, query)
+		r, err := w.Query(ctx, user, query)
 		if err != nil {
 			return err
 		}
@@ -298,7 +298,7 @@ func runOne(ctx context.Context, w *warehouse.Warehouse, lang, user, geneID, que
 		if geneID == "" {
 			return fmt.Errorf("-lang term needs -gene ACCESSION to bind variable g")
 		}
-		r, err := w.QueryCtx(ctx, user, fmt.Sprintf("SELECT gene FROM genes WHERE id = '%s'", geneID))
+		r, err := w.Query(ctx, user, fmt.Sprintf("SELECT gene FROM genes WHERE id = '%s'", geneID))
 		if err != nil {
 			return err
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func run() error {
 			// Two organisms: genes (every 3rd record) alternate between them.
 			Organisms: []string{"Synthetica demonstrans", "Synthetica minor"},
 		}))
-	if _, err := w.InitialLoad([]*sources.Repo{repo}); err != nil {
+	if _, err := w.InitialLoad(context.Background(), []*sources.Repo{repo}); err != nil {
 		return err
 	}
 
@@ -44,7 +45,7 @@ func run() error {
 		stats.Organisms, stats.Chromosomes, stats.GenesPlaced)
 
 	// Genome-level view.
-	r, err := w.Query("biologist",
+	r, err := w.Query(context.Background(), "biologist",
 		`SELECT organism(genome), chromosomecount(genome) FROM genomes ORDER BY organism(genome)`)
 	if err != nil {
 		return err
@@ -55,7 +56,7 @@ func run() error {
 	}
 
 	// Chromosome-level view with algebra ops in SELECT and ORDER BY.
-	r, err = w.Query("biologist",
+	r, err = w.Query(context.Background(), "biologist",
 		`SELECT id, locuscount(chromosome), length(chromosome) FROM chromosomes ORDER BY length(chromosome) DESC LIMIT 5`)
 	if err != nil {
 		return err
@@ -67,7 +68,7 @@ func run() error {
 
 	// Cut a gene back out of its chromosome and push it through the
 	// central dogma — four algebra operations composed in one query.
-	r, err = w.Query("biologist", `SELECT chromosome FROM chromosomes LIMIT 1`)
+	r, err = w.Query(context.Background(), "biologist", `SELECT chromosome FROM chromosomes LIMIT 1`)
 	if err != nil {
 		return err
 	}
@@ -76,7 +77,7 @@ func run() error {
 	q := fmt.Sprintf(
 		`SELECT proteinseq(translate(splice(transcribe(extractgene(chromosome, '%s'))))) FROM chromosomes WHERE id = '%s'`,
 		locus.GeneID, chrom.ID)
-	r, err = w.Query("biologist", q)
+	r, err = w.Query(context.Background(), "biologist", q)
 	if err != nil {
 		return err
 	}

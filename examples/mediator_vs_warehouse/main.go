@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -81,7 +82,7 @@ func run() error {
 		// The load pays each source's snapshot transfer once.
 		_ = sources.NewRemote(r, latency, 0).Snapshot()
 	}
-	stats, err := w.InitialLoad(repos)
+	stats, err := w.InitialLoad(context.Background(), repos)
 	if err != nil {
 		return err
 	}
@@ -89,7 +90,7 @@ func run() error {
 	start = time.Now()
 	var whRows int
 	for i := 0; i < nQueries; i++ {
-		r, err := w.Query("biologist",
+		r, err := w.Query(context.Background(), "biologist",
 			fmt.Sprintf(`SELECT id, source, confidence FROM fragments WHERE contains(fragment, '%s')`, pattern))
 		if err != nil {
 			return err

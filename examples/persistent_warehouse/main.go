@@ -39,7 +39,7 @@ func run() error {
 	}
 	repo := sources.NewRepo("genbank1", sources.FormatGenBank, sources.CapLogged,
 		sources.Generate(3, sources.GenOptions{N: 50}))
-	stats, err := w.InitialLoad([]*sources.Repo{repo})
+	stats, err := w.InitialLoad(context.Background(), []*sources.Repo{repo})
 	if err != nil {
 		return err
 	}
@@ -54,7 +54,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if _, err := w.Query("biologist",
+	if _, err := w.Query(context.Background(), "biologist",
 		`INSERT INTO lab_notes VALUES ('SYN000004', 'candidate for knockout study')`); err != nil {
 		return err
 	}
@@ -72,7 +72,7 @@ func run() error {
 		return err
 	}
 	defer w2.Close()
-	r, err := w2.Query("biologist", `SELECT n.target, n.note, f.quality
+	r, err := w2.Query(context.Background(), "biologist", `SELECT n.target, n.note, f.quality
 		FROM lab_notes n JOIN fragments f ON n.target = f.id`)
 	if err != nil {
 		return err
@@ -95,7 +95,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := w2.ApplyDeltas(deltas); err != nil {
+	if _, err := w2.ApplyDeltas(context.Background(), deltas); err != nil {
 		return err
 	}
 	fmt.Printf("session 2: applied %d deltas; warehouse now holds %d entities\n",

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,7 +38,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	stats, err := w.InitialLoad(repos)
+	stats, err := w.InitialLoad(context.Background(), repos)
 	if err != nil {
 		return err
 	}
@@ -60,7 +61,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		r, err := w.Query("biologist", sql)
+		r, err := w.Query(context.Background(), "biologist", sql)
 		if err != nil {
 			return err
 		}
@@ -79,11 +80,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if _, err := w.Query("biologist",
+	if _, err := w.Query(context.Background(), "biologist",
 		`INSERT INTO my_candidates VALUES ('SYN000003', 'possible regulatory region'), ('SYN000007', 'repeat element?')`); err != nil {
 		return err
 	}
-	r, err := w.Query("biologist", `SELECT f.id, f.quality, m.hypothesis
+	r, err := w.Query(context.Background(), "biologist", `SELECT f.id, f.quality, m.hypothesis
 		FROM fragments f JOIN my_candidates m ON f.id = m.fid ORDER BY f.id`)
 	if err != nil {
 		return err
@@ -94,7 +95,7 @@ func run() error {
 	}
 
 	// Conflict inspection: the alternatives the integrator retained (C9).
-	r, err = w.Query("biologist", `SELECT id, provenance, confidence FROM fragment_alts ORDER BY id LIMIT 5`)
+	r, err = w.Query(context.Background(), "biologist", `SELECT id, provenance, confidence FROM fragment_alts ORDER BY id LIMIT 5`)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package align
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -273,7 +274,7 @@ func TestDatabaseSearchFindsPlanted(t *testing.T) {
 		t.Fatalf("Len = %d", db.Len())
 	}
 
-	hits := db.Search(motif, SearchOptions{MinScore: 40})
+	hits := db.Search(context.Background(), motif, SearchOptions{MinScore: 40}, 0)
 	if len(hits) == 0 {
 		t.Fatal("no hits")
 	}
@@ -291,7 +292,7 @@ func TestDatabaseSearchMaxHits(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		db.Add(subjID(i), s) // identical subjects: many hits
 	}
-	hits := db.Search(s.Slice(100, 160), SearchOptions{MaxHits: 3})
+	hits := db.Search(context.Background(), s.Slice(100, 160), SearchOptions{MaxHits: 3}, 0)
 	if len(hits) != 3 {
 		t.Errorf("MaxHits: got %d hits", len(hits))
 	}
@@ -301,7 +302,7 @@ func TestDatabaseSearchNoFalsePositives(t *testing.T) {
 	db, _ := NewDatabase(12)
 	db.Add("x", randDNA(1, 200))
 	// A query with no shared 12-mer yields no hits.
-	hits := db.Search(randDNA(2, 50), SearchOptions{MinScore: 30})
+	hits := db.Search(context.Background(), randDNA(2, 50), SearchOptions{MinScore: 30}, 0)
 	for _, h := range hits {
 		if h.Score >= 30*DefaultScoring.Match {
 			t.Errorf("implausible hit: %+v", h)
@@ -370,7 +371,7 @@ func BenchmarkSeededSearch(b *testing.B) {
 	q := randDNA(42, 1000).Slice(0, 200)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = db.Search(q, SearchOptions{MinScore: 20})
+		_ = db.Search(context.Background(), q, SearchOptions{MinScore: 20}, 0)
 	}
 }
 

@@ -16,14 +16,9 @@ type Job struct {
 // GlobalAll computes Needleman-Wunsch alignments for every job on at most
 // workers goroutines (workers <= 0 selects the default bound). Results are
 // in job order and identical to calling Global per job serially; the
-// lowest-index error is returned on failure.
-func GlobalAll(jobs []Job, sc Scoring, workers int) ([]Result, error) {
-	return GlobalAllCtx(context.Background(), jobs, sc, workers)
-}
-
-// GlobalAllCtx is GlobalAll under the caller's context: the batch runs
-// inside an "align.global_all" trace span when the context carries a tracer.
-func GlobalAllCtx(ctx context.Context, jobs []Job, sc Scoring, workers int) (out []Result, err error) {
+// lowest-index error is returned on failure. The batch runs inside an
+// "align.global_all" trace span when ctx carries a tracer.
+func GlobalAll(ctx context.Context, jobs []Job, sc Scoring, workers int) (out []Result, err error) {
 	ctx, sp := trace.Start(ctx, "align.global_all")
 	sp.SetAttr("jobs", len(jobs))
 	sp.SetAttr("workers", parallel.Clamp(workers, len(jobs)))
@@ -36,14 +31,8 @@ func GlobalAllCtx(ctx context.Context, jobs []Job, sc Scoring, workers int) (out
 
 // LocalAll computes Smith-Waterman alignments for every job on at most
 // workers goroutines, with the same ordering and error guarantees as
-// GlobalAll.
-func LocalAll(jobs []Job, sc Scoring, workers int) ([]Result, error) {
-	return LocalAllCtx(context.Background(), jobs, sc, workers)
-}
-
-// LocalAllCtx is LocalAll under the caller's context (span
-// "align.local_all").
-func LocalAllCtx(ctx context.Context, jobs []Job, sc Scoring, workers int) (out []Result, err error) {
+// GlobalAll (span "align.local_all").
+func LocalAll(ctx context.Context, jobs []Job, sc Scoring, workers int) (out []Result, err error) {
 	ctx, sp := trace.Start(ctx, "align.local_all")
 	sp.SetAttr("jobs", len(jobs))
 	sp.SetAttr("workers", parallel.Clamp(workers, len(jobs)))
@@ -57,14 +46,8 @@ func LocalAllCtx(ctx context.Context, jobs []Job, sc Scoring, workers int) (out 
 // ResemblesAll scores query against every candidate concurrently and
 // reports, per candidate, whether the best local alignment reaches
 // minScore — the batch form of the algebra's resembles operator, used to
-// verify similarity candidates fan-out style.
-func ResemblesAll(query seq.NucSeq, candidates []seq.NucSeq, minScore, workers int) ([]bool, error) {
-	return ResemblesAllCtx(context.Background(), query, candidates, minScore, workers)
-}
-
-// ResemblesAllCtx is ResemblesAll under the caller's context (span
-// "align.resembles_all").
-func ResemblesAllCtx(ctx context.Context, query seq.NucSeq, candidates []seq.NucSeq, minScore, workers int) (out []bool, err error) {
+// verify similarity candidates fan-out style (span "align.resembles_all").
+func ResemblesAll(ctx context.Context, query seq.NucSeq, candidates []seq.NucSeq, minScore, workers int) (out []bool, err error) {
 	ctx, sp := trace.Start(ctx, "align.resembles_all")
 	sp.SetAttr("candidates", len(candidates))
 	sp.SetAttr("min_score", minScore)
@@ -77,14 +60,9 @@ func ResemblesAllCtx(ctx context.Context, query seq.NucSeq, candidates []seq.Nuc
 
 // SearchAll runs the seed-and-extend search for every query on at most
 // workers goroutines, returning per-query hit lists in query order. Each
-// query's hits are identical to a serial Search call.
-func (db *Database) SearchAll(queries []seq.NucSeq, opts SearchOptions, workers int) [][]Hit {
-	return db.SearchAllCtx(context.Background(), queries, opts, workers)
-}
-
-// SearchAllCtx is SearchAll under the caller's context (span
-// "align.search_all" with query/hit counts).
-func (db *Database) SearchAllCtx(ctx context.Context, queries []seq.NucSeq, opts SearchOptions, workers int) [][]Hit {
+// query's hits are identical to a serial Search call. The batch runs
+// inside an "align.search_all" span with query/hit counts.
+func (db *Database) SearchAll(ctx context.Context, queries []seq.NucSeq, opts SearchOptions, workers int) [][]Hit {
 	ctx, sp := trace.Start(ctx, "align.search_all")
 	sp.SetAttr("queries", len(queries))
 	out, _ := parallel.Map(ctx, queries, workers, func(_ int, q seq.NucSeq) ([]Hit, error) {
@@ -97,23 +75,6 @@ func (db *Database) SearchAllCtx(ctx context.Context, queries []seq.NucSeq, opts
 	sp.SetAttr("hits", hits)
 	sp.EndOK()
 	return out
-}
-
-// SearchWorkers is Search with an explicit worker bound: candidate seed
-// extensions are fanned out across workers by sharding the subject space.
-// Hits are byte-identical to the serial search for any worker count,
-// because each (subject, diagonal) group is owned by exactly one worker
-// and the merged hit set is sorted with the same comparator.
-func (db *Database) SearchWorkers(query seq.NucSeq, opts SearchOptions, workers int) []Hit {
-	return db.SearchWorkersCtx(context.Background(), query, opts, workers)
-}
-
-// SearchWorkersCtx is SearchWorkers under the caller's context: the shard
-// fan-out honours ctx, so a cancelled search stops instead of scanning
-// every subject on a detached background context.
-func (db *Database) SearchWorkersCtx(ctx context.Context, query seq.NucSeq, opts SearchOptions, workers int) []Hit {
-	workers = parallel.Clamp(workers, len(db.subjects))
-	return db.searchSharded(ctx, query, opts, workers)
 }
 
 // searchSharded runs the seed scan restricted to subjects of each shard on

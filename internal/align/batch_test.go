@@ -46,14 +46,14 @@ func TestParallelMatchesSerial(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		gotG, err := GlobalAll(jobs, DefaultScoring, workers)
+		gotG, err := GlobalAll(context.Background(), jobs, DefaultScoring, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(wantG, gotG) {
 			t.Fatalf("GlobalAll(workers=%d) differs from serial", workers)
 		}
-		gotL, err := LocalAll(jobs, DefaultScoring, workers)
+		gotL, err := LocalAll(context.Background(), jobs, DefaultScoring, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,10 +70,10 @@ func TestBatchErrorPropagation(t *testing.T) {
 		{A: randNuc(t, rng, 50), B: randNuc(t, rng, 50)},
 	}
 	bad := Scoring{Match: -1, Mismatch: 0, Gap: -1} // invalid: match must be positive
-	if _, err := GlobalAll(jobs, bad, 4); err == nil {
+	if _, err := GlobalAll(context.Background(), jobs, bad, 4); err == nil {
 		t.Fatal("expected scoring validation error")
 	}
-	if _, err := LocalAll(jobs, bad, 4); err == nil {
+	if _, err := LocalAll(context.Background(), jobs, bad, 4); err == nil {
 		t.Fatal("expected scoring validation error")
 	}
 }
@@ -98,7 +98,7 @@ func TestResemblesAllMatchesSerial(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 2, 4} {
-		got, err := ResemblesAll(query, cands, 60, workers)
+		got, err := ResemblesAll(context.Background(), query, cands, 60, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,18 +125,18 @@ func TestSearchWorkersMatchesSerial(t *testing.T) {
 		// Queries stitched from subject fragments guarantee seed hits.
 		q := subjects[qi*3].Slice(100, 300)
 		opts := SearchOptions{MinScore: 15}
-		want := dbx.SearchWorkers(q, opts, 1)
+		want := dbx.Search(context.Background(), q, opts, 1)
 		if len(want) == 0 {
 			t.Fatalf("query %d: no hits; test corpus broken", qi)
 		}
 		for _, workers := range []int{2, 3, 4, 8} {
-			got := dbx.SearchWorkers(q, opts, workers)
+			got := dbx.Search(context.Background(), q, opts, workers)
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("query %d workers=%d: hits differ from serial\nserial: %v\npar:    %v", qi, workers, want, got)
 			}
 		}
 		// SearchAll must agree per query too.
-		all := dbx.SearchAll([]seq.NucSeq{q, q}, opts, 4)
+		all := dbx.SearchAll(context.Background(), []seq.NucSeq{q, q}, opts, 4)
 		if !reflect.DeepEqual(all[0], want) || !reflect.DeepEqual(all[1], want) {
 			t.Fatalf("query %d: SearchAll differs from serial", qi)
 		}
@@ -144,20 +144,20 @@ func TestSearchWorkersMatchesSerial(t *testing.T) {
 	// MaxHits truncation must also agree.
 	q := subjects[0].Slice(0, 250)
 	opts := SearchOptions{MinScore: 10, MaxHits: 3}
-	want := dbx.SearchWorkers(q, opts, 1)
+	want := dbx.Search(context.Background(), q, opts, 1)
 	for _, workers := range []int{2, 4} {
-		if got := dbx.SearchWorkers(q, opts, workers); !reflect.DeepEqual(want, got) {
+		if got := dbx.Search(context.Background(), q, opts, workers); !reflect.DeepEqual(want, got) {
 			t.Fatalf("MaxHits workers=%d: %v != %v", workers, got, want)
 		}
 	}
 }
 
-// TestSearchWorkersCtxHonoursCancellation is the regression test for the
+// TestSearchHonoursCancellation is the regression test for the
 // old searchSharded, which fanned the shard scan out on a detached
 // context.Background(): cancelling the caller's context still scanned
 // every subject. A pre-cancelled context must now do no work and return
 // no hits, for both the single-shard and multi-shard paths.
-func TestSearchWorkersCtxHonoursCancellation(t *testing.T) {
+func TestSearchHonoursCancellation(t *testing.T) {
 	db, err := NewDatabase(8)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestSearchWorkersCtxHonoursCancellation(t *testing.T) {
 	}
 	q := s.Slice(50, 150)
 
-	live := db.SearchWorkersCtx(context.Background(), q, SearchOptions{}, 4)
+	live := db.Search(context.Background(), q, SearchOptions{}, 4)
 	if len(live) == 0 {
 		t.Fatal("live context found no hits; test corpus broken")
 	}
@@ -176,7 +176,7 @@ func TestSearchWorkersCtxHonoursCancellation(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		if hits := db.SearchWorkersCtx(cancelled, q, SearchOptions{}, workers); len(hits) != 0 {
+		if hits := db.Search(cancelled, q, SearchOptions{}, workers); len(hits) != 0 {
 			t.Errorf("workers=%d: cancelled search returned %d hits, want 0", workers, len(hits))
 		}
 	}

@@ -1,6 +1,7 @@
 package align
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -104,11 +105,15 @@ func sortHits(hits []Hit) {
 // Search finds high-scoring local matches of query against the database by
 // seeding on shared k-mers and extending each seed in both directions with
 // an x-drop cutoff. Hits are returned sorted by descending score, one best
-// hit per (subject, diagonal) pair. Seed extensions fan out across the
-// default worker bound (see package parallel); the hit list is identical to
-// a single-worker search.
-func (db *Database) Search(query seq.NucSeq, opts SearchOptions) []Hit {
-	return db.SearchWorkers(query, opts, parallel.Workers())
+// hit per (subject, diagonal) pair. Candidate seed extensions fan out
+// across at most workers goroutines (workers <= 0 selects the default
+// bound; see package parallel) by sharding the subject space. Hits are
+// byte-identical to the serial search for any worker count, because each
+// (subject, diagonal) group is owned by exactly one worker and the merged
+// hit set is sorted with the same comparator. The fan-out honours ctx, so
+// a cancelled search stops instead of scanning every subject.
+func (db *Database) Search(ctx context.Context, query seq.NucSeq, opts SearchOptions, workers int) []Hit {
+	return db.searchSharded(ctx, query, opts, parallel.Clamp(workers, len(db.subjects)))
 }
 
 // extend grows an exact k-mer seed at (qpos, spos) into a gapless

@@ -1,17 +1,18 @@
 // Package ctxpass defines the genalgvet analyzer that enforces context
-// threading through the repository's `...Ctx` call chains. PR 4 split
-// every traced entry point into a pair — `Foo` (convenience, builds its
-// own background context) and `FooCtx` (threads the caller's) — and the
-// value of the whole tracing substrate rests on the Ctx variants actually
-// passing their context down. Two drift patterns break the chain and are
-// caught here:
+// threading. Traced entry points take the caller's context as their first
+// parameter, so the compiler already makes callers supply one; the value
+// of the tracing substrate then rests on functions actually passing it
+// down. Two drift patterns break the chain and are caught here:
 //
 //  1. calling context.Background()/context.TODO() inside a function that
 //     already has a context (by parameter or by Ctx-suffix convention),
 //     which silently detaches cancellation, deadlines, and the active
 //     trace span from everything below;
-//  2. calling the plain variant of a callee that has a Ctx variant, which
-//     drops the context even though a threading path exists.
+//  2. calling the plain variant of a callee that still has a Ctx variant
+//     (the context-free conveniences kept for external callers, such as
+//     sqlang's Engine.Exec beside ExecCtx and db's Table.GenomicLookup
+//     beside GenomicLookupCtx), which drops the context even though a
+//     threading path exists.
 //
 // The idiomatic nil-normalization `if ctx == nil { ctx =
 // context.Background() }` is recognized and exempt.

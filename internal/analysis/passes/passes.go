@@ -3,13 +3,13 @@
 // lifecycle, context threading, lock hygiene, metric naming, boundary
 // error classification, WAL durability, lock ordering, goroutine
 // shutdown, network deadlines, deterministic replay); the stock-lite
-// checks reimplement the useful core of vet passes this offline build
-// cannot import from x/tools.
+// checks reimplement the vet passes that stock go vet lacks (nilness) or
+// runs with a narrower function list (unusedresult), since this offline
+// build cannot import them from x/tools.
 package passes
 
 import (
 	"genalg/internal/analysis"
-	"genalg/internal/analysis/passes/copylocks"
 	"genalg/internal/analysis/passes/ctxpass"
 	"genalg/internal/analysis/passes/deadline"
 	"genalg/internal/analysis/passes/durability"
@@ -39,7 +39,6 @@ func All() []*analysis.Analyzer {
 		seededrand.Analyzer,
 		metricname.Analyzer,
 		errclass.Analyzer,
-		copylocks.Analyzer,
 		nilness.Analyzer,
 		unusedresult.Analyzer,
 	}

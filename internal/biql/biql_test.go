@@ -1,6 +1,7 @@
 package biql
 
 import (
+	"context"
 	"fmt"
 
 	"genalg/internal/db"
@@ -139,7 +140,7 @@ func loadedWarehouse(t testing.TB) (*warehouse.Warehouse, []sources.Record) {
 	}
 	repo := sources.NewRepo("genbank1", sources.FormatGenBank, sources.CapNonQueryable,
 		sources.Generate(900, sources.GenOptions{N: 30}))
-	if _, err := w.InitialLoad([]*sources.Repo{repo}); err != nil {
+	if _, err := w.InitialLoad(context.Background(), []*sources.Repo{repo}); err != nil {
 		t.Fatal(err)
 	}
 	return w, repo.Records()
@@ -155,7 +156,7 @@ func runBiQL(t testing.TB, w *warehouse.Warehouse, biqlText string) (*Query, []s
 	if err != nil {
 		t.Fatalf("ToSQL: %v", err)
 	}
-	r, err := w.Query("biologist", sql)
+	r, err := w.Query(context.Background(), "biologist", sql)
 	if err != nil {
 		t.Fatalf("warehouse query %q: %v", sql, err)
 	}
@@ -324,7 +325,7 @@ func TestBuilderEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := w.Query("u", sql)
+	r, err := w.Query(context.Background(), "u", sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +338,7 @@ func TestBuilderEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	sql2, _ := q2.ToSQL()
-	r2, err := w.Query("u", sql2)
+	r2, err := w.Query(context.Background(), "u", sql2)
 	if err != nil {
 		t.Fatal(err)
 	}

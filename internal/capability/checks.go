@@ -1,6 +1,7 @@
 package capability
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -50,7 +51,7 @@ func loadedWarehouse(n int, noisyRate float64) (*warehouse.Warehouse, []*sources
 		sources.NewRepo("embl1", sources.FormatFASTA, sources.CapQueryable,
 			sources.Generate(777, sources.GenOptions{N: n, ErrorRate: noisyRate})),
 	}
-	if _, err := w.InitialLoad(repos); err != nil {
+	if _, err := w.InitialLoad(context.Background(), repos); err != nil {
 		return nil, nil, err
 	}
 	return w, repos, nil
@@ -62,7 +63,7 @@ func checkMultiSourceIntegration() error {
 		return err
 	}
 	// One query answers over both sources without the user naming either.
-	r, err := w.Query("u", `SELECT COUNT(*) FROM fragments`)
+	r, err := w.Query(context.Background(), "u", `SELECT COUNT(*) FROM fragments`)
 	if err != nil {
 		return err
 	}
@@ -117,7 +118,7 @@ func checkSingleAccessPoint() error {
 	if len(repos) < 2 || repos[0].Format() == repos[1].Format() {
 		return fmt.Errorf("test setup lacks format diversity")
 	}
-	r, err := w.Query("u", `SELECT COUNT(*) FROM fragments`)
+	r, err := w.Query(context.Background(), "u", `SELECT COUNT(*) FROM fragments`)
 	if err != nil {
 		return err
 	}
@@ -140,7 +141,7 @@ func checkBiologistInterface() error {
 	if err != nil {
 		return err
 	}
-	r, err := w.Query("biologist", sql)
+	r, err := w.Query(context.Background(), "biologist", sql)
 	if err != nil {
 		return err
 	}
@@ -160,7 +161,7 @@ func checkQueryLanguagePower() error {
 		return err
 	}
 	// Aggregation + UDF + ordering in one statement.
-	_, err = w.Query("u", `SELECT organism, COUNT(*), AVG(gccontent(fragment)) FROM fragments GROUP BY organism ORDER BY COUNT(*) DESC`)
+	_, err = w.Query(context.Background(), "u", `SELECT organism, COUNT(*), AVG(gccontent(fragment)) FROM fragments GROUP BY organism ORDER BY COUNT(*) DESC`)
 	return err
 }
 
@@ -169,7 +170,7 @@ func checkAlgebraOperations() error {
 	if err != nil {
 		return err
 	}
-	r, err := w.Query("u", `SELECT id, length(translate(splice(transcribe(gene)))) FROM genes LIMIT 1`)
+	r, err := w.Query(context.Background(), "u", `SELECT id, length(translate(splice(transcribe(gene)))) FROM genes LIMIT 1`)
 	if err != nil {
 		return err
 	}
@@ -185,7 +186,7 @@ func checkComposableResults() error {
 	if err != nil {
 		return err
 	}
-	r, err := w.Query("u", `SELECT gene FROM genes LIMIT 1`)
+	r, err := w.Query(context.Background(), "u", `SELECT gene FROM genes LIMIT 1`)
 	if err != nil {
 		return err
 	}
@@ -210,11 +211,11 @@ func checkReconciliation() error {
 		return err
 	}
 	// Duplicates merged: every entity appears once despite two sources.
-	r, err := w.Query("u", `SELECT COUNT(*) FROM fragments`)
+	r, err := w.Query(context.Background(), "u", `SELECT COUNT(*) FROM fragments`)
 	if err != nil {
 		return err
 	}
-	rg, err := w.Query("u", `SELECT COUNT(*) FROM genes`)
+	rg, err := w.Query(context.Background(), "u", `SELECT COUNT(*) FROM genes`)
 	if err != nil {
 		return err
 	}
@@ -230,7 +231,7 @@ func checkUncertainty() error {
 		return err
 	}
 	// Every conflicting entity retains its alternative.
-	r, err := w.Query("u", `SELECT COUNT(*) FROM fragment_alts`)
+	r, err := w.Query(context.Background(), "u", `SELECT COUNT(*) FROM fragment_alts`)
 	if err != nil {
 		return err
 	}
@@ -245,7 +246,7 @@ func checkMultiSourceMerge() error {
 	if err != nil {
 		return err
 	}
-	r, err := w.Query("u", `SELECT COUNT(*) FROM fragments WHERE nsources = 2`)
+	r, err := w.Query(context.Background(), "u", `SELECT COUNT(*) FROM fragments WHERE nsources = 2`)
 	if err != nil {
 		return err
 	}
@@ -270,11 +271,11 @@ func checkAnnotations() error {
 	if err != nil {
 		return err
 	}
-	_, err = w.Query("alice", `INSERT INTO alice_ann VALUES ('a1', annotation('a1', 'SYN000001', 10, 40, 'alice', 'promoter candidate'))`)
+	_, err = w.Query(context.Background(), "alice", `INSERT INTO alice_ann VALUES ('a1', annotation('a1', 'SYN000001', 10, 40, 'alice', 'promoter candidate'))`)
 	if err != nil {
 		return err
 	}
-	r, err := w.Query("alice", `SELECT ann FROM alice_ann`)
+	r, err := w.Query(context.Background(), "alice", `SELECT ann FROM alice_ann`)
 	if err != nil {
 		return err
 	}
@@ -316,11 +317,11 @@ func checkUserData() error {
 	if err != nil {
 		return err
 	}
-	if _, err := w.Query("alice", `INSERT INTO alice_own VALUES ('mine', dna('mine', 'ACGTACGTACGT'))`); err != nil {
+	if _, err := w.Query(context.Background(), "alice", `INSERT INTO alice_own VALUES ('mine', dna('mine', 'ACGTACGTACGT'))`); err != nil {
 		return err
 	}
 	// Self-generated data joins against public data in one query.
-	r, err := w.Query("alice", `SELECT a.id, f.id FROM alice_own a, fragments f LIMIT 1`)
+	r, err := w.Query(context.Background(), "alice", `SELECT a.id, f.id FROM alice_own a, fragments f LIMIT 1`)
 	if err != nil {
 		return err
 	}
@@ -349,7 +350,7 @@ func checkUserDefinedFunctions() error {
 	if err != nil {
 		return err
 	}
-	r, err := w.Query("u", `SELECT atcontent(fragment) FROM fragments LIMIT 1`)
+	r, err := w.Query(context.Background(), "u", `SELECT atcontent(fragment) FROM fragments LIMIT 1`)
 	if err != nil {
 		return err
 	}

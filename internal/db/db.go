@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"genalg/internal/btree"
 	"genalg/internal/kmeridx"
@@ -31,12 +32,21 @@ type DB struct {
 	// equals in-memory apply order (and so one statement's row loop can't
 	// interleave with another's). Reads never take it.
 	dmlMu sync.Mutex
-	// checkpointBytes triggers auto-compaction of the WAL when its size
-	// crosses the threshold; 0 disables. Set once by OpenDurable.
+	// checkpointBytes triggers auto-compaction of the WAL once it has grown
+	// by this many bytes since the last checkpoint; 0 disables. Set once by
+	// OpenDurable.
 	checkpointBytes int64
+	// checkpointBase is the log size right after the last checkpoint (0
+	// at open): the auto-checkpoint trigger measures growth from here, so
+	// an insert-only log that compaction cannot shrink is not rewritten on
+	// every commit.
+	checkpointBase atomic.Int64
 	// checkpointing keeps a commit burst from stacking redundant
 	// checkpoints.
-	checkpointing checkpointingFlag
+	checkpointing atomic.Bool
+	// checkpointErr holds the last auto-checkpoint failure until a later
+	// checkpoint succeeds (see CheckpointErr).
+	checkpointErr atomic.Pointer[error]
 }
 
 // OpenMemory creates an ephemeral in-memory engine; poolPages bounds the

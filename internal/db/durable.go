@@ -6,9 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync/atomic"
 	"time"
 
+	"genalg/internal/obs"
 	"genalg/internal/storage"
 	"genalg/internal/wal"
 )
@@ -33,7 +33,8 @@ type DurableOptions struct {
 	// 0 syncs immediately.
 	GroupWindow time.Duration
 	// CheckpointBytes triggers automatic log compaction after a commit
-	// grows the live log past this size; 0 disables auto-checkpointing.
+	// once the live log has grown by this many bytes since the last
+	// checkpoint (or since open); 0 disables auto-checkpointing.
 	CheckpointBytes int64
 	// Hooks injects deterministic WAL crash points (tests only).
 	Hooks wal.Hooks
@@ -277,7 +278,23 @@ func (d *DB) CheckpointWAL() error {
 	d.dmlMu.Lock()
 	defer d.dmlMu.Unlock()
 	//genalgvet:ignore lockorder the checkpoint rewrite holds the DML writer lock for the duration by design: the compacted log must be a consistent statement-boundary snapshot
-	return d.checkpointLocked()
+	if err := d.checkpointLocked(); err != nil {
+		return err
+	}
+	d.checkpointBase.Store(d.wal.Size())
+	d.checkpointErr.Store(nil)
+	return nil
+}
+
+// CheckpointErr returns the error of the last failed auto-checkpoint, or
+// nil when none failed or a later checkpoint succeeded. The statement that
+// triggered a failed checkpoint was already durable, so the failure cannot
+// be returned to it; readiness probes surface it instead.
+func (d *DB) CheckpointErr() error {
+	if p := d.checkpointErr.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 func (d *DB) checkpointLocked() error {
@@ -370,19 +387,21 @@ func (t *Table) indexRecords(name string) []wal.Record {
 	return out
 }
 
-// maybeCheckpoint compacts the log when it has outgrown the configured
-// threshold. The atomic flag keeps a commit burst from stacking redundant
-// checkpoints; the statement that wins the flag pays the compaction.
+// maybeCheckpoint compacts the log when it has grown past the configured
+// threshold since the last checkpoint. The atomic flag keeps a commit
+// burst from stacking redundant checkpoints; the statement that wins the
+// flag pays the compaction. A failure is counted in db.checkpoint_errors
+// and kept for CheckpointErr.
 func (d *DB) maybeCheckpoint() {
-	if d.checkpointBytes <= 0 || d.wal == nil || d.wal.Size() < d.checkpointBytes {
+	if d.checkpointBytes <= 0 || d.wal == nil || d.wal.Size()-d.checkpointBase.Load() < d.checkpointBytes {
 		return
 	}
 	if !d.checkpointing.CompareAndSwap(false, true) {
 		return
 	}
 	defer d.checkpointing.Store(false)
-	_ = d.CheckpointWAL()
+	if err := d.CheckpointWAL(); err != nil {
+		obs.Default.Counter("db.checkpoint_errors").Inc()
+		d.checkpointErr.Store(&err)
+	}
 }
-
-// checkpointingFlag is a named type so the DB field is self-describing.
-type checkpointingFlag = atomic.Bool

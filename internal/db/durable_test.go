@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"genalg/internal/obs"
 	"genalg/internal/storage"
 	"genalg/internal/wal"
 )
@@ -319,7 +320,13 @@ func TestCheckpointCompactsAndRecovers(t *testing.T) {
 
 func TestAutoCheckpointThreshold(t *testing.T) {
 	dir := t.TempDir()
-	d, _ := openFrags(t, dir, DurableOptions{CheckpointBytes: 2048})
+	checkpoints := 0
+	d, _ := openFrags(t, dir, DurableOptions{CheckpointBytes: 2048, Hooks: wal.Hooks{
+		BeforeCheckpointRename: func() error {
+			checkpoints++
+			return nil
+		},
+	}})
 	for i := int64(0); i < 200; i++ {
 		insertFrag(t, d, i, "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx")
 	}
@@ -330,6 +337,17 @@ func TestAutoCheckpointThreshold(t *testing.T) {
 	if sz := d.Wal().Size(); sz > 64*1024 {
 		t.Fatalf("auto-checkpoint never ran: log is %d bytes", sz)
 	}
+	// The trigger is growth since the last checkpoint, not absolute size:
+	// compacting an insert-only log does not shrink it, so an absolute
+	// trigger rewrote the whole database on every commit once the live
+	// data passed the threshold (about 160 checkpoints for this load).
+	// ~10 KiB of log in 2 KiB steps is a handful.
+	if checkpoints < 1 || checkpoints > 10 {
+		t.Fatalf("insert-only load took %d auto-checkpoints, want 1..10", checkpoints)
+	}
+	if err := d.CheckpointErr(); err != nil {
+		t.Fatalf("CheckpointErr after clean checkpoints = %v", err)
+	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -337,6 +355,32 @@ func TestAutoCheckpointThreshold(t *testing.T) {
 	defer d2.Close()
 	if n := len(fragRows(t, d2)); n != 200 {
 		t.Fatalf("want 200 rows after auto-checkpointed restart, got %d", n)
+	}
+}
+
+// TestAutoCheckpointFailureSurfaces checks that a failed auto-checkpoint
+// is no longer discarded: the statement that triggered it still succeeds
+// (it was durable before the checkpoint began), the failure is counted in
+// db.checkpoint_errors, and CheckpointErr reports it for readiness probes.
+func TestAutoCheckpointFailureSurfaces(t *testing.T) {
+	fault := errors.New("injected checkpoint fault")
+	errs := obs.Default.Counter("db.checkpoint_errors")
+	before := errs.Value()
+	d, _ := openFrags(t, t.TempDir(), DurableOptions{CheckpointBytes: 2048, Hooks: wal.Hooks{
+		BeforeCheckpointRename: func() error { return fault },
+	}})
+	defer d.Close()
+	for i := int64(0); d.CheckpointErr() == nil; i++ {
+		if i == 200 {
+			t.Fatal("auto-checkpoint never ran")
+		}
+		insertFrag(t, d, i, "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx")
+	}
+	if err := d.CheckpointErr(); !errors.Is(err, fault) {
+		t.Fatalf("CheckpointErr = %v, want the injected fault", err)
+	}
+	if got := errs.Value() - before; got != 1 {
+		t.Fatalf("db.checkpoint_errors grew by %d, want 1", got)
 	}
 }
 

@@ -303,7 +303,7 @@ func (t *Table) CreateGenomicIndex(col string, k int) error {
 	if err != nil {
 		return err
 	}
-	if err := ix.AddAll(docs, parallel.Workers()); err != nil {
+	if err := ix.AddAll(context.Background(), docs, parallel.Workers()); err != nil {
 		return err
 	}
 	t.kmers[col] = ix
@@ -397,7 +397,7 @@ func (t *Table) GenomicLookupCtx(ctx context.Context, col, pattern string) ([]st
 	}
 	ci := t.schema.ColIndex(col)
 	udt, _ := t.reg.Get(t.schema.Columns[ci].UDTName)
-	docs, err := ix.LookupWorkersCtx(ctx, pattern, func(doc kmeridx.DocID) (seq.NucSeq, error) {
+	docs, err := ix.Lookup(ctx, pattern, func(doc kmeridx.DocID) (seq.NucSeq, error) {
 		row, err := t.Get(u64ToRID(uint64(doc)))
 		if err != nil {
 			return seq.NucSeq{}, err

@@ -9,30 +9,30 @@ import (
 	"genalg/internal/sources"
 )
 
-// TestMonitorCtxConstructorsHonourCancellation pins down the Ctx
-// constructor variants: the priming Fetch runs under the caller's
+// TestMonitorConstructorsHonourCancellation pins down the snapshot
+// monitor constructors: the priming Fetch runs under the caller's
 // context, so a cancelled context aborts the build instead of silently
 // fetching on a detached background context.
-func TestMonitorCtxConstructorsHonourCancellation(t *testing.T) {
+func TestMonitorConstructorsHonourCancellation(t *testing.T) {
 	repo := sources.NewRepo("rel", sources.FormatCSV, sources.CapQueryable,
 		sources.Generate(3, sources.GenOptions{N: 10}))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := NewSnapshotDiffMonitorCtx(ctx, repo); !errors.Is(err, context.Canceled) {
-		t.Errorf("NewSnapshotDiffMonitorCtx error = %v, want context.Canceled", err)
+	if _, err := NewSnapshotDiffMonitor(ctx, repo); !errors.Is(err, context.Canceled) {
+		t.Errorf("NewSnapshotDiffMonitor error = %v, want context.Canceled", err)
 	}
-	if _, err := NewLCSDiffMonitorCtx(ctx, repo); !errors.Is(err, context.Canceled) {
-		t.Errorf("NewLCSDiffMonitorCtx error = %v, want context.Canceled", err)
+	if _, err := NewLCSDiffMonitor(ctx, repo); !errors.Is(err, context.Canceled) {
+		t.Errorf("NewLCSDiffMonitor error = %v, want context.Canceled", err)
 	}
 	gb := sources.NewRepo("gb", sources.FormatACeDB, sources.CapQueryable,
 		sources.Generate(4, sources.GenOptions{N: 10}))
-	if _, err := NewTreeDiffMonitorCtx(ctx, gb); !errors.Is(err, context.Canceled) {
-		t.Errorf("NewTreeDiffMonitorCtx error = %v, want context.Canceled", err)
+	if _, err := NewTreeDiffMonitor(ctx, gb); !errors.Is(err, context.Canceled) {
+		t.Errorf("NewTreeDiffMonitor error = %v, want context.Canceled", err)
 	}
 
 	// The live-context path still builds.
-	if _, err := NewSnapshotDiffMonitorCtx(context.Background(), repo); err != nil {
+	if _, err := NewSnapshotDiffMonitor(context.Background(), repo); err != nil {
 		t.Fatalf("live context: %v", err)
 	}
 }
@@ -43,11 +43,11 @@ func TestMonitorCtxConstructorsHonourCancellation(t *testing.T) {
 // in the latency histogram.
 func TestFailedRoundStillObservesPollTimer(t *testing.T) {
 	sick := &flakyDetector{failures: 1 << 30, err: errors.New("down")}
-	p := NewPipeline([]Detector{sick}, func([]Delta) error { return nil })
+	p := NewPipeline([]Detector{sick}, acceptAll)
 	reg := obs.New()
 	p.SetRegistry(reg)
 
-	if _, err := p.RoundDetailed(context.Background()); err == nil {
+	if _, err := p.Round(context.Background()); err == nil {
 		t.Fatal("round with a failing detector succeeded")
 	}
 	var observed float64 = -1

@@ -36,7 +36,7 @@ func TestSnapshotMonitorKeepsCursorOnError(t *testing.T) {
 	repo := sources.NewRepo("csv", sources.FormatCSV, sources.CapQueryable,
 		sources.Generate(3, sources.GenOptions{N: 8}))
 	src := &faultyOnce{repo: repo, failOn: map[int]bool{2: true}}
-	det, err := NewSnapshotDiffMonitor(src)
+	det, err := NewSnapshotDiffMonitor(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestSnapshotMonitorKeepsCursorOnError(t *testing.T) {
 func TestSnapshotDiffEmpty(t *testing.T) {
 	repo := sources.NewRepo("quiet", sources.FormatCSV, sources.CapQueryable,
 		sources.Generate(9, sources.GenOptions{N: 4}))
-	det, err := NewSnapshotDiffMonitor(repo)
+	det, err := NewSnapshotDiffMonitor(context.Background(), repo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestSnapshotDiffEmpty(t *testing.T) {
 	}
 
 	empty := sources.NewRepo("empty", sources.FormatCSV, sources.CapQueryable, nil)
-	det2, err := NewSnapshotDiffMonitor(empty)
+	det2, err := NewSnapshotDiffMonitor(context.Background(), empty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +89,11 @@ func TestMonitorConstructorPropagatesFetchError(t *testing.T) {
 	repo := sources.NewRepo("csv", sources.FormatCSV, sources.CapQueryable,
 		sources.Generate(3, sources.GenOptions{N: 2}))
 	src := &faultyOnce{repo: repo, failOn: map[int]bool{1: true}}
-	if _, err := NewSnapshotDiffMonitor(src); err == nil {
+	if _, err := NewSnapshotDiffMonitor(context.Background(), src); err == nil {
 		t.Error("NewSnapshotDiffMonitor ignored a failing baseline fetch")
 	}
 	src = &faultyOnce{repo: repo, failOn: map[int]bool{1: true}}
-	if _, err := NewLCSDiffMonitor(src); err == nil {
+	if _, err := NewLCSDiffMonitor(context.Background(), src); err == nil {
 		t.Error("NewLCSDiffMonitor ignored a failing baseline fetch")
 	}
 }

@@ -211,7 +211,7 @@ func TestLogMonitor(t *testing.T) {
 
 func TestSnapshotDiffMonitor(t *testing.T) {
 	repo := sources.NewRepo("rel", sources.FormatCSV, sources.CapQueryable, sources.Generate(3, sources.GenOptions{N: 40}))
-	det, err := NewSnapshotDiffMonitor(repo)
+	det, err := NewSnapshotDiffMonitor(context.Background(), repo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestSnapshotDiffMonitor(t *testing.T) {
 
 func TestLCSDiffMonitorGenBank(t *testing.T) {
 	repo := sources.NewRepo("gb", sources.FormatGenBank, sources.CapNonQueryable, sources.Generate(4, sources.GenOptions{N: 40}))
-	det, err := NewLCSDiffMonitor(repo)
+	det, err := NewLCSDiffMonitor(context.Background(), repo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestLCSDiffMonitorGenBank(t *testing.T) {
 
 func TestLCSDiffMonitorFASTA(t *testing.T) {
 	repo := sources.NewRepo("fa", sources.FormatFASTA, sources.CapNonQueryable, sources.Generate(5, sources.GenOptions{N: 40}))
-	det, err := NewLCSDiffMonitor(repo)
+	det, err := NewLCSDiffMonitor(context.Background(), repo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestLCSDiffMonitorFASTA(t *testing.T) {
 
 func TestTreeDiffMonitor(t *testing.T) {
 	repo := sources.NewRepo("ace", sources.FormatACeDB, sources.CapNonQueryable, sources.Generate(6, sources.GenOptions{N: 40}))
-	det, err := NewTreeDiffMonitor(repo)
+	det, err := NewTreeDiffMonitor(context.Background(), repo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestTreeDiffMonitor(t *testing.T) {
 	}
 	// Tree diff on a flat source is rejected.
 	flat := sources.NewRepo("f", sources.FormatFASTA, sources.CapNonQueryable, nil)
-	if _, err := NewTreeDiffMonitor(flat); err == nil {
+	if _, err := NewTreeDiffMonitor(context.Background(), flat); err == nil {
 		t.Error("tree diff accepted flat source")
 	}
 }
@@ -458,14 +458,14 @@ func TestPollAllMergesConcurrently(t *testing.T) {
 		dets = append(dets, d)
 	}
 	// Quiet round.
-	ds, err := PollAll(dets)
+	ds, err := PollAll(context.Background(), dets, 0)
 	if err != nil || len(ds) != 0 {
 		t.Fatalf("quiet PollAll = %d deltas, %v", len(ds), err)
 	}
 	for i, r := range repos {
 		r.ApplyRandomUpdates(int64(i+50), 5)
 	}
-	ds, err = PollAll(dets)
+	ds, err = PollAll(context.Background(), dets, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,17 +496,17 @@ func TestPipelineRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	var applied []Delta
-	p := NewPipeline([]Detector{det}, func(ds []Delta) error {
+	p := NewPipeline([]Detector{det}, func(_ context.Context, ds []Delta) (SinkReport, error) {
 		applied = append(applied, ds...)
-		return nil
+		return SinkReport{RecordsOK: len(ds)}, nil
 	})
 	repo.ApplyRandomUpdates(1, 5)
-	n, err := p.Round()
-	if err != nil || n == 0 {
-		t.Fatalf("round 1 = %d, %v", n, err)
+	rep, err := p.Round(context.Background())
+	if err != nil || rep.Deltas == 0 {
+		t.Fatalf("round 1 = %d, %v", rep.Deltas, err)
 	}
 	repo.ApplyRandomUpdates(2, 5)
-	if _, err := p.Round(); err != nil {
+	if _, err := p.Round(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	st := p.Stats()
@@ -523,7 +523,7 @@ func TestPollAllPropagatesFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := failingDetector{}
-	if _, err := PollAll([]Detector{good, bad}); err == nil || !strings.Contains(err.Error(), "boom") {
+	if _, err := PollAll(context.Background(), []Detector{good, bad}, 0); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Errorf("failure not propagated: %v", err)
 	}
 }

@@ -113,15 +113,9 @@ type SnapshotDiffMonitor struct {
 
 // NewSnapshotDiffMonitor primes the monitor with the source's current
 // state (the initial snapshot produces no deltas; the warehouse's initial
-// load uses the snapshot directly).
-func NewSnapshotDiffMonitor(src Snapshotter) (*SnapshotDiffMonitor, error) {
-	return NewSnapshotDiffMonitorCtx(context.Background(), src)
-}
-
-// NewSnapshotDiffMonitorCtx is NewSnapshotDiffMonitor under the caller's
-// context: the priming snapshot fetch honours ctx, so a cancelled or
-// deadlined setup aborts instead of hanging on a slow source.
-func NewSnapshotDiffMonitorCtx(ctx context.Context, src Snapshotter) (*SnapshotDiffMonitor, error) {
+// load uses the snapshot directly). The priming fetch honours ctx, so a
+// cancelled or deadlined setup aborts instead of hanging on a slow source.
+func NewSnapshotDiffMonitor(ctx context.Context, src Snapshotter) (*SnapshotDiffMonitor, error) {
 	text, err := src.Fetch(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("etl: priming snapshot of %s: %w", src.Name(), err)
@@ -171,12 +165,7 @@ type LCSDiffMonitor struct {
 }
 
 // NewLCSDiffMonitor primes the monitor with the current dump.
-func NewLCSDiffMonitor(src Snapshotter) (*LCSDiffMonitor, error) {
-	return NewLCSDiffMonitorCtx(context.Background(), src)
-}
-
-// NewLCSDiffMonitorCtx is NewLCSDiffMonitor under the caller's context.
-func NewLCSDiffMonitorCtx(ctx context.Context, src Snapshotter) (*LCSDiffMonitor, error) {
+func NewLCSDiffMonitor(ctx context.Context, src Snapshotter) (*LCSDiffMonitor, error) {
 	text, err := src.Fetch(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("etl: priming snapshot of %s: %w", src.Name(), err)
@@ -320,12 +309,7 @@ type TreeDiffMonitor struct {
 }
 
 // NewTreeDiffMonitor primes the monitor.
-func NewTreeDiffMonitor(src Snapshotter) (*TreeDiffMonitor, error) {
-	return NewTreeDiffMonitorCtx(context.Background(), src)
-}
-
-// NewTreeDiffMonitorCtx is NewTreeDiffMonitor under the caller's context.
-func NewTreeDiffMonitorCtx(ctx context.Context, src Snapshotter) (*TreeDiffMonitor, error) {
+func NewTreeDiffMonitor(ctx context.Context, src Snapshotter) (*TreeDiffMonitor, error) {
 	if src.Format() != sources.FormatACeDB {
 		return nil, fmt.Errorf("etl: tree diff requires a hierarchical source, %s is %v", src.Name(), src.Format())
 	}
@@ -401,10 +385,10 @@ func ForRepo(repo sources.Repository) (Detector, error) {
 	}
 	switch repo.Format() {
 	case sources.FormatCSV:
-		return NewSnapshotDiffMonitor(repo)
+		return NewSnapshotDiffMonitor(context.Background(), repo)
 	case sources.FormatACeDB:
-		return NewTreeDiffMonitor(repo)
+		return NewTreeDiffMonitor(context.Background(), repo)
 	default:
-		return NewLCSDiffMonitor(repo)
+		return NewLCSDiffMonitor(context.Background(), repo)
 	}
 }

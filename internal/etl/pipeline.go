@@ -17,29 +17,12 @@ import (
 // detector fails the round (partial application would leave the warehouse
 // inconsistent across sources); the error names the first (lowest-index)
 // failing detector, matching what a serial loop would report. The fan-out
-// is bounded by the parallel package default (GENALG_WORKERS or
-// GOMAXPROCS) rather than one goroutine per detector. For degraded-mode
-// polling that survives individual source failures, use a Pipeline with a
-// RetryPolicy.
-func PollAll(detectors []Detector) ([]Delta, error) {
-	return PollAllCtx(context.Background(), detectors)
-}
-
-// PollAllCtx is PollAll under the caller's context.
-func PollAllCtx(ctx context.Context, detectors []Detector) ([]Delta, error) {
-	return PollAllWorkersCtx(ctx, detectors, parallel.Workers())
-}
-
-// PollAllWorkers is PollAll with an explicit worker bound (0 = default,
-// 1 = serial).
-func PollAllWorkers(detectors []Detector, workers int) ([]Delta, error) {
-	return PollAllWorkersCtx(context.Background(), detectors, workers)
-}
-
-// PollAllWorkersCtx is PollAllWorkers under the caller's context: the
-// fan-out and every per-detector poll honour ctx, so cancelling it stops
-// the round instead of silently detaching the polls.
-func PollAllWorkersCtx(ctx context.Context, detectors []Detector, workers int) ([]Delta, error) {
+// is bounded by workers (<= 0 selects the parallel package default,
+// GENALG_WORKERS or GOMAXPROCS; 1 is serial) rather than one goroutine per
+// detector, and it and every per-detector poll honour ctx, so cancelling
+// it stops the round. For degraded-mode polling that survives individual
+// source failures, use a Pipeline with a RetryPolicy.
+func PollAll(ctx context.Context, detectors []Detector, workers int) ([]Delta, error) {
 	perDet, err := parallel.Map(ctx, detectors, workers,
 		func(i int, det Detector) ([]Delta, error) {
 			ds, err := det.Poll(ctx)
@@ -127,7 +110,7 @@ type Stats struct {
 }
 
 // Pipeline ties a detector set to a sink (typically the warehouse's
-// ApplyDeltasReport), providing the paper's continuous ETL loop as an
+// ApplyDeltas), providing the paper's continuous ETL loop as an
 // on-demand "round" operation so callers control pacing (the
 // polling-frequency trade-off of Section 5.2). With a RetryPolicy set the
 // pipeline degrades gracefully: flaky sources are retried with backoff,
@@ -174,30 +157,11 @@ func (p *Pipeline) addRetries(n int64) {
 	p.registry().Counter("etl.retries").Add(n)
 }
 
-// NewPipeline builds a pipeline over detectors feeding a plain sink. The
-// sink's batch is counted wholly toward RecordsOK on success.
-func NewPipeline(detectors []Detector, sink func([]Delta) error) *Pipeline {
-	return NewReportingPipeline(detectors, func(ds []Delta) (SinkReport, error) {
-		if err := sink(ds); err != nil {
-			return SinkReport{}, err
-		}
-		return SinkReport{RecordsOK: len(ds)}, nil
-	})
-}
-
-// NewReportingPipeline builds a pipeline over a sink that reports applied
-// and quarantined counts (warehouse.ApplyDeltasReport).
-func NewReportingPipeline(detectors []Detector, sink func([]Delta) (SinkReport, error)) *Pipeline {
-	return NewReportingPipelineCtx(detectors, func(_ context.Context, ds []Delta) (SinkReport, error) {
-		return sink(ds)
-	})
-}
-
-// NewReportingPipelineCtx builds a pipeline over a context-aware reporting
-// sink (warehouse.ApplyDeltasReportCtx): the round's context — carrying
-// the round's trace span — is forwarded to the sink, so warehouse
-// maintenance appears inside the round's trace tree.
-func NewReportingPipelineCtx(detectors []Detector, sink func(context.Context, []Delta) (SinkReport, error)) *Pipeline {
+// NewPipeline builds a pipeline over detectors feeding sink, which reports
+// applied and quarantined counts (warehouse.ApplyDeltas). The round's
+// context — carrying the round's trace span — is forwarded to the sink, so
+// warehouse maintenance appears inside the round's trace tree.
+func NewPipeline(detectors []Detector, sink func(context.Context, []Delta) (SinkReport, error)) *Pipeline {
 	return &Pipeline{detectors: detectors, sink: sink}
 }
 
@@ -235,22 +199,14 @@ func (p *Pipeline) OpenBreakers() int {
 	return n
 }
 
-// Round performs one detect-and-apply cycle, returning the number of deltas
-// applied. Without a RetryPolicy any detector failure aborts the round;
-// with one, per-source failures degrade instead (inspect RoundDetailed for
-// the report).
-func (p *Pipeline) Round() (int, error) {
-	rep, err := p.RoundDetailed(context.Background())
-	return rep.Deltas, err
-}
-
-// RoundDetailed runs one round and returns its full report. The error is
-// non-nil only for whole-round failures: a sink failure, or (in strict
-// mode) any detector failure. When the context carries a tracer the round
-// runs inside an "etl.round" span with one "etl.poll" child per source
-// (retry attempts and breaker skips recorded as events) and an "etl.sink"
-// child for the apply stage.
-func (p *Pipeline) RoundDetailed(ctx context.Context) (RoundReport, error) {
+// Round performs one detect-and-apply cycle and returns its report. The
+// error is non-nil only for whole-round failures: a sink failure, or
+// without a RetryPolicy any detector failure; with one, per-source
+// failures degrade instead and are listed in the report. When the context
+// carries a tracer the round runs inside an "etl.round" span with one
+// "etl.poll" child per source (retry attempts and breaker skips recorded
+// as events) and an "etl.sink" child for the apply stage.
+func (p *Pipeline) Round(ctx context.Context) (RoundReport, error) {
 	ctx, sp := trace.Start(ctx, "etl.round")
 	rep, err := p.roundDetailed(ctx)
 	sp.SetAttr("deltas", rep.Deltas)

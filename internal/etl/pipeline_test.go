@@ -10,6 +10,11 @@ import (
 	"time"
 )
 
+// acceptAll is a pipeline sink that applies every delta.
+func acceptAll(_ context.Context, ds []Delta) (SinkReport, error) {
+	return SinkReport{RecordsOK: len(ds)}, nil
+}
+
 // gaugeDetector records the peak number of concurrently running Polls.
 type gaugeDetector struct {
 	name    string
@@ -47,7 +52,7 @@ func TestPollAllWorkersBounded(t *testing.T) {
 			name: fmt.Sprintf("det%02d", i), running: &running, peak: &peak,
 		})
 	}
-	ds, err := PollAllWorkers(dets, 3)
+	ds, err := PollAll(context.Background(), dets, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +77,7 @@ func TestPollAllWorkersFirstError(t *testing.T) {
 		})
 	}
 	for trial := 0; trial < 10; trial++ {
-		_, err := PollAllWorkers(dets, 4)
+		_, err := PollAll(context.Background(), dets, 4)
 		if err == nil || !strings.Contains(err.Error(), "det02") {
 			t.Fatalf("trial %d: error %v, want the det02 failure", trial, err)
 		}
@@ -89,12 +94,12 @@ func TestPollAllWorkersSerialAgreement(t *testing.T) {
 			name: fmt.Sprintf("det%02d", 5-i), running: &running, peak: &peak,
 		})
 	}
-	want, err := PollAllWorkers(dets, 1)
+	want, err := PollAll(context.Background(), dets, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		got, err := PollAllWorkers(dets, workers)
+		got, err := PollAll(context.Background(), dets, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,13 +112,13 @@ func TestPollAllWorkersSerialAgreement(t *testing.T) {
 			}
 		}
 	}
-	// Concurrent PollAllWorkers calls over the same detectors are safe.
+	// Concurrent PollAll calls over the same detectors are safe.
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := PollAllWorkers(dets, 2); err != nil {
+			if _, err := PollAll(context.Background(), dets, 2); err != nil {
 				t.Error(err)
 			}
 		}()

@@ -237,9 +237,9 @@ func TestPipelineDegradedRound(t *testing.T) {
 	sick := &flakyDetector{failures: 1 << 30, err: sources.Transient("fetch", "flaky", fmt.Errorf("down"))}
 
 	var applied []Delta
-	p := NewPipeline([]Detector{good, sick}, func(ds []Delta) error {
+	p := NewPipeline([]Detector{good, sick}, func(_ context.Context, ds []Delta) (SinkReport, error) {
 		applied = append(applied, ds...)
-		return nil
+		return SinkReport{RecordsOK: len(ds)}, nil
 	})
 	p.SetRetryPolicy(RetryPolicy{
 		MaxAttempts:      2,
@@ -249,7 +249,7 @@ func TestPipelineDegradedRound(t *testing.T) {
 	})
 
 	repo.ApplyRandomUpdates(1, 4)
-	rep, err := p.RoundDetailed(context.Background())
+	rep, err := p.Round(context.Background())
 	if err != nil {
 		t.Fatalf("degraded round errored: %v", err)
 	}
@@ -261,13 +261,13 @@ func TestPipelineDegradedRound(t *testing.T) {
 	}
 
 	// Round 2 trips the breaker (2nd consecutive failure); round 3 skips.
-	if _, err := p.RoundDetailed(context.Background()); err != nil {
+	if _, err := p.Round(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.BreakerState(1); got != "open" {
 		t.Fatalf("breaker = %s after repeated failure, want open", got)
 	}
-	rep, err = p.RoundDetailed(context.Background())
+	rep, err = p.Round(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,11 +290,11 @@ func TestPipelineDegradedRound(t *testing.T) {
 // policy, one failing detector aborts the round.
 func TestPipelineStrictModeUnchanged(t *testing.T) {
 	sick := &flakyDetector{failures: 1, err: fmt.Errorf("boom")}
-	p := NewPipeline([]Detector{sick}, func([]Delta) error { return nil })
-	if _, err := p.Round(); err == nil || !strings.Contains(err.Error(), "boom") {
+	p := NewPipeline([]Detector{sick}, acceptAll)
+	if _, err := p.Round(context.Background()); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("strict round = %v, want failure", err)
 	}
-	if _, err := p.Round(); err != nil {
+	if _, err := p.Round(context.Background()); err != nil {
 		t.Fatalf("recovery round = %v", err)
 	}
 }

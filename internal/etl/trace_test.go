@@ -24,7 +24,7 @@ func TestRoundTraced(t *testing.T) {
 	}
 	sick := &flakyDetector{failures: 1 << 30, err: sources.Transient("fetch", "flaky", fmt.Errorf("down"))}
 
-	p := NewPipeline([]Detector{good, sick}, func([]Delta) error { return nil })
+	p := NewPipeline([]Detector{good, sick}, acceptAll)
 	p.SetRetryPolicy(RetryPolicy{
 		MaxAttempts:      2,
 		BreakerThreshold: 2,
@@ -35,7 +35,7 @@ func TestRoundTraced(t *testing.T) {
 	ctx := trace.WithTracer(context.Background(), tr)
 
 	repo.ApplyRandomUpdates(1, 4)
-	if _, err := p.RoundDetailed(ctx); err != nil {
+	if _, err := p.Round(ctx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -86,10 +86,10 @@ func TestRoundTraced(t *testing.T) {
 
 	// Two more rounds: the second trips the breaker, the third skips and
 	// must say so on the poll span.
-	if _, err := p.RoundDetailed(ctx); err != nil {
+	if _, err := p.Round(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.RoundDetailed(ctx); err != nil {
+	if _, err := p.Round(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.OpenBreakers(); got != 1 {
@@ -120,12 +120,12 @@ func TestRoundUntracedUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	var applied []Delta
-	p := NewPipeline([]Detector{good}, func(ds []Delta) error {
+	p := NewPipeline([]Detector{good}, func(_ context.Context, ds []Delta) (SinkReport, error) {
 		applied = append(applied, ds...)
-		return nil
+		return SinkReport{RecordsOK: len(ds)}, nil
 	})
 	repo.ApplyRandomUpdates(2, 3)
-	if _, err := p.RoundDetailed(context.Background()); err != nil {
+	if _, err := p.Round(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if len(applied) == 0 {

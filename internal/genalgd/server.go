@@ -313,7 +313,7 @@ func (s *Server) dispatch(sess *session, req *wire.Request) (*wire.Response, boo
 			return &wire.Response{ID: req.ID, Error: fmt.Sprintf("genalgd: unknown prepared statement %d", req.Stmt)}, false
 		}
 		s.statements.Inc()
-		res, err := s.cfg.Engine.ExecStmtSQL(p.stmt, p.sql)
+		res, err := s.cfg.Engine.ExecStmtSQLCtx(context.Background(), p.stmt, p.sql)
 		if err != nil {
 			s.errs.Inc()
 			return &wire.Response{ID: req.ID, Error: err.Error()}, false

@@ -113,14 +113,9 @@ type Doc struct {
 // The batch is applied atomically: on any duplicate DocID (within the batch
 // or against the index) nothing is inserted and the offending document is
 // named. workers <= 0 selects the default bound (see package parallel).
-func (ix *Index) AddAll(docs []Doc, workers int) error {
-	return ix.AddAllCtx(context.Background(), docs, workers)
-}
-
-// AddAllCtx is AddAll under the caller's context: the build runs inside a
-// "kmeridx.add_all" span when the context carries one, and the chunked
-// extraction observes context cancellation.
-func (ix *Index) AddAllCtx(ctx context.Context, docs []Doc, workers int) (err error) {
+// The build runs inside a "kmeridx.add_all" span when ctx carries a
+// tracer, and the chunked extraction observes cancellation.
+func (ix *Index) AddAll(ctx context.Context, docs []Doc, workers int) (err error) {
 	ctx, sp := trace.Start(ctx, "kmeridx.add_all")
 	sp.SetAttr("docs", len(docs))
 	defer func() { sp.EndSpan(err) }()
@@ -272,23 +267,13 @@ func (ix *Index) Candidates(pattern string) ([]DocID, error) {
 
 // Lookup returns the documents that contain the pattern, verifying each
 // candidate against the actual sequence via fetch. fetch errors abort the
-// lookup. Verification fans out across the default worker bound; fetch must
-// therefore be safe for concurrent use (the database's row fetch is).
-func (ix *Index) Lookup(pattern string, fetch func(DocID) (seq.NucSeq, error)) ([]DocID, error) {
-	return ix.LookupWorkers(pattern, fetch, parallel.Workers())
-}
-
-// LookupWorkers is Lookup with an explicit worker bound for the
-// candidate-verification stage. Results are in candidate (ascending DocID)
-// order and identical for any worker count.
-func (ix *Index) LookupWorkers(pattern string, fetch func(DocID) (seq.NucSeq, error), workers int) ([]DocID, error) {
-	return ix.LookupWorkersCtx(context.Background(), pattern, fetch, workers)
-}
-
-// LookupWorkersCtx is LookupWorkers under the caller's context: the lookup
+// lookup. Verification fans out across at most workers goroutines
+// (workers <= 0 selects the default bound), so fetch must be safe for
+// concurrent use (the database's row fetch is). Results are in candidate
+// (ascending DocID) order and identical for any worker count. The lookup
 // runs inside a "kmeridx.lookup" span (candidate count recorded as an
-// event) and verification observes context cancellation.
-func (ix *Index) LookupWorkersCtx(ctx context.Context, pattern string, fetch func(DocID) (seq.NucSeq, error), workers int) (out []DocID, err error) {
+// event) and verification observes cancellation.
+func (ix *Index) Lookup(ctx context.Context, pattern string, fetch func(DocID) (seq.NucSeq, error), workers int) (out []DocID, err error) {
 	ctx, sp := trace.Start(ctx, "kmeridx.lookup")
 	sp.SetAttr("pattern", pattern)
 	defer func() { sp.EndSpan(err) }()

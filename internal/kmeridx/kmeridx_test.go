@@ -1,6 +1,7 @@
 package kmeridx
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -82,7 +83,7 @@ func TestLookupFindsExactSubstrings(t *testing.T) {
 		}
 		for _, span := range [][2]int{{0, 20}, {100, 131}, {380, 400}, {50, 58}} {
 			pat := s.Slice(span[0], span[1]).String()
-			got, err := ix.Lookup(pat, fetch)
+			got, err := ix.Lookup(context.Background(), pat, fetch, 0)
 			if err != nil {
 				t.Fatalf("Lookup(%q): %v", pat, err)
 			}
@@ -129,7 +130,7 @@ func TestLookupAgainstScanProperty(t *testing.T) {
 		} else {
 			pat = randDNA(seed, patLen).String()
 		}
-		got, err := ix.Lookup(pat, fetch)
+		got, err := ix.Lookup(context.Background(), pat, fetch, 0)
 		if err != nil {
 			return false
 		}
@@ -152,7 +153,7 @@ func TestLookupAgainstScanProperty(t *testing.T) {
 
 func TestPatternTooShort(t *testing.T) {
 	ix, _, fetch := corpus(t, 8, 2, 100)
-	_, err := ix.Lookup("ACGT", fetch)
+	_, err := ix.Lookup(context.Background(), "ACGT", fetch, 0)
 	var tooShort *ErrPatternTooShort
 	if !errors.As(err, &tooShort) {
 		t.Fatalf("error = %v", err)
@@ -174,7 +175,7 @@ func TestBadPattern(t *testing.T) {
 
 func TestNoMatch(t *testing.T) {
 	ix, _, fetch := corpus(t, 12, 5, 100)
-	got, err := ix.Lookup(strings.Repeat("ACGT", 5), fetch)
+	got, err := ix.Lookup(context.Background(), strings.Repeat("ACGT", 5), fetch, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestRemove(t *testing.T) {
 	ix, docs, fetch := corpus(t, 8, 10, 200)
 	target := DocID(3)
 	pat := docs[target].Slice(50, 80).String()
-	got, err := ix.Lookup(pat, fetch)
+	got, err := ix.Lookup(context.Background(), pat, fetch, 0)
 	if err != nil || len(got) == 0 {
 		t.Fatalf("pre-remove lookup = %v, %v", got, err)
 	}
@@ -196,7 +197,7 @@ func TestRemove(t *testing.T) {
 	if ix.Docs() != 9 {
 		t.Errorf("Docs after remove = %d", ix.Docs())
 	}
-	got, err = ix.Lookup(pat, fetch)
+	got, err = ix.Lookup(context.Background(), pat, fetch, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,9 +242,9 @@ func TestStats(t *testing.T) {
 func TestLookupFetchErrorPropagates(t *testing.T) {
 	ix, docs, _ := corpus(t, 8, 3, 100)
 	pat := docs[0].Slice(0, 30).String()
-	_, err := ix.Lookup(pat, func(DocID) (seq.NucSeq, error) {
+	_, err := ix.Lookup(context.Background(), pat, func(DocID) (seq.NucSeq, error) {
 		return seq.NucSeq{}, errors.New("boom")
-	})
+	}, 0)
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Errorf("fetch error lost: %v", err)
 	}
@@ -287,7 +288,7 @@ func BenchmarkLookup1k(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ix.Lookup(pat, fetch); err != nil {
+		if _, err := ix.Lookup(context.Background(), pat, fetch, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package kmeridx
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -52,7 +53,7 @@ func TestAddAllMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := par.AddAll(docs, workers); err != nil {
+		if err := par.AddAll(context.Background(), docs, workers); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(serial.postings, par.postings) {
@@ -73,7 +74,7 @@ func TestAddAllDuplicateAtomicity(t *testing.T) {
 	if err := ix.Add(docs[7].ID, docs[7].Seq); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.AddAll(docs, 4); err == nil {
+	if err := ix.AddAll(context.Background(), docs, 4); err == nil {
 		t.Fatal("expected duplicate error")
 	}
 	if got := ix.Docs(); got != 1 {
@@ -83,7 +84,7 @@ func TestAddAllDuplicateAtomicity(t *testing.T) {
 	fresh, _ := New(8)
 	dup := append([]Doc{}, docs[:3]...)
 	dup = append(dup, docs[1])
-	if err := fresh.AddAll(dup, 2); err == nil {
+	if err := fresh.AddAll(context.Background(), dup, 2); err == nil {
 		t.Fatal("expected batch-internal duplicate error")
 	}
 	if got := fresh.Docs(); got != 0 {
@@ -127,7 +128,7 @@ func TestConcurrentAddAllAndLookup(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for lo := 40; lo < 80; lo += 10 {
-			if err := ix.AddAll(docs[lo:lo+10], 3); err != nil {
+			if err := ix.AddAll(context.Background(), docs[lo:lo+10], 3); err != nil {
 				t.Error(err)
 				return
 			}
@@ -140,7 +141,7 @@ func TestConcurrentAddAllAndLookup(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				pat := docs[(r*17+i)%len(docs)].Seq.String()[:20]
-				if _, err := ix.LookupWorkers(pat, fetch, 2); err != nil {
+				if _, err := ix.Lookup(context.Background(), pat, fetch, 2); err != nil {
 					t.Errorf("lookup: %v", err)
 					return
 				}
@@ -155,7 +156,7 @@ func TestConcurrentAddAllAndLookup(t *testing.T) {
 	// Every document must now be findable by its own prefix.
 	for _, d := range docs {
 		pat := d.Seq.String()[:24]
-		hits, err := ix.LookupWorkers(pat, fetch, 4)
+		hits, err := ix.Lookup(context.Background(), pat, fetch, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,12 +190,12 @@ func TestLookupWorkersMatchesSerial(t *testing.T) {
 	fetch := func(id DocID) (seq.NucSeq, error) { return byID[id], nil }
 	for _, d := range docs[:10] {
 		pat := d.Seq.String()[10:40]
-		want, err := ix.LookupWorkers(pat, fetch, 1)
+		want, err := ix.Lookup(context.Background(), pat, fetch, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 8} {
-			got, err := ix.LookupWorkers(pat, fetch, workers)
+			got, err := ix.Lookup(context.Background(), pat, fetch, workers)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -128,23 +128,12 @@ func (e *Engine) ExecCtx(ctx context.Context, sql string) (*Result, error) {
 	return e.ExecStmtSQLCtx(ctx, stmt, sql)
 }
 
-// ExecStmt executes a parsed statement. The slow-query log records a
-// statement-type summary; callers that kept the SQL text should prefer
-// ExecStmtSQL.
-func (e *Engine) ExecStmt(stmt Stmt) (*Result, error) {
-	return e.ExecStmtSQL(stmt, "")
-}
-
-// ExecStmtSQL executes a parsed statement while retaining its SQL text for
-// the slow-query log, and records the engine's statement metrics.
-func (e *Engine) ExecStmtSQL(stmt Stmt, sql string) (*Result, error) {
-	return e.ExecStmtSQLCtx(context.Background(), stmt, sql)
-}
-
-// ExecStmtSQLCtx is ExecStmtSQL under the caller's context: when the
-// context carries an enabled tracer (or an active parent span), the
-// statement runs inside a "sqlang.statement" span and the slow-query log
-// entry is stamped with the trace ID so the two views link up.
+// ExecStmtSQLCtx executes a parsed statement while retaining its SQL text
+// for the slow-query log (an empty sql logs a statement-type summary) and
+// records the engine's statement metrics. When the context carries an
+// enabled tracer (or an active parent span), the statement runs inside a
+// "sqlang.statement" span and the slow-query log entry is stamped with the
+// trace ID so the two views link up.
 func (e *Engine) ExecStmtSQLCtx(ctx context.Context, stmt Stmt, sql string) (*Result, error) {
 	reg := e.registry()
 	text := sql

@@ -1,6 +1,7 @@
 package regress
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -126,6 +127,7 @@ func (h *Harness) Update() (int, error) {
 // SELECT — the EXPLAIN plan under both the cost-based and the legacy
 // (DisableCBO) planner, so drift in either planner is caught.
 func (h *Harness) render(cf CorpusFile) (string, error) {
+	ctx := context.Background()
 	d, err := NewDB()
 	if err != nil {
 		return "", err
@@ -141,12 +143,12 @@ func (h *Harness) render(cf CorpusFile) (string, error) {
 		if err != nil {
 			return fmt.Errorf("fixture statement %q: %w", sql, err)
 		}
-		if _, err := cbo.ExecStmtSQL(stmt, sql); err != nil {
+		if _, err := cbo.ExecStmtSQLCtx(ctx, stmt, sql); err != nil {
 			return fmt.Errorf("fixture statement %q: %w", sql, err)
 		}
 		if _, ok := stmt.(*sqlang.AnalyzeStmt); ok {
 			// Statistics live per engine; the legacy planner needs them too.
-			if _, err := legacy.ExecStmtSQL(stmt, sql); err != nil {
+			if _, err := legacy.ExecStmtSQLCtx(ctx, stmt, sql); err != nil {
 				return err
 			}
 		}
@@ -170,7 +172,7 @@ func (h *Harness) render(cf CorpusFile) (string, error) {
 		if isSel && sel.Analyze {
 			return "", fmt.Errorf("statement %d: EXPLAIN ANALYZE is not snapshotable (wall times are nondeterministic); use EXPLAIN", i+1)
 		}
-		res, err := cbo.ExecStmtSQL(stmt, sql)
+		res, err := cbo.ExecStmtSQLCtx(ctx, stmt, sql)
 		if err != nil {
 			fmt.Fprintf(&sb, "--- error\n%s\n", err)
 			continue
@@ -186,7 +188,7 @@ func (h *Harness) render(cf CorpusFile) (string, error) {
 			}{{"cbo", cbo}, {"legacy", legacy}} {
 				ex := *sel
 				ex.Explain = true
-				pres, err := pe.eng.ExecStmt(&ex)
+				pres, err := pe.eng.ExecStmtSQLCtx(ctx, &ex, "")
 				if err != nil {
 					return "", fmt.Errorf("statement %d: EXPLAIN under %s: %w", i+1, pe.name, err)
 				}
@@ -195,7 +197,7 @@ func (h *Harness) render(cf CorpusFile) (string, error) {
 		default:
 			fmt.Fprintf(&sb, "--- result\n%s", NormalizeResult(res, false, SnapshotPrec))
 			if _, ok := stmt.(*sqlang.AnalyzeStmt); ok {
-				if _, err := legacy.ExecStmtSQL(stmt, sql); err != nil {
+				if _, err := legacy.ExecStmtSQLCtx(ctx, stmt, sql); err != nil {
 					return "", err
 				}
 			}

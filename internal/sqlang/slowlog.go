@@ -7,7 +7,7 @@ import (
 
 // SlowQuery is one slow-query log entry.
 type SlowQuery struct {
-	// SQL is the statement text when known (Exec / ExecStmtSQL), otherwise
+	// SQL is the statement text when known (Exec / ExecStmtSQLCtx), otherwise
 	// a statement-type summary.
 	SQL      string
 	Duration time.Duration

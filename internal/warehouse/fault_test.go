@@ -52,7 +52,7 @@ func TestFaultMatrixConvergence(t *testing.T) {
 				repo := sources.NewRepo("src", mon.format, mon.cap,
 					sources.Generate(seed, sources.GenOptions{N: 12}))
 				w := newWarehouse(t)
-				if _, err := w.InitialLoad([]*sources.Repo{repo}); err != nil {
+				if _, err := w.InitialLoad(context.Background(), []*sources.Repo{repo}); err != nil {
 					t.Fatal(err)
 				}
 
@@ -73,7 +73,7 @@ func TestFaultMatrixConvergence(t *testing.T) {
 				}
 				inj.SetEnabled(true)
 
-				pipe := etl.NewReportingPipeline([]etl.Detector{det}, w.ApplyDeltasReport)
+				pipe := etl.NewPipeline([]etl.Detector{det}, w.ApplyDeltas)
 				pipe.SetRetryPolicy(testPolicy(seed + 2))
 
 				ctx := context.Background()
@@ -85,7 +85,7 @@ func TestFaultMatrixConvergence(t *testing.T) {
 						// goroutine; give it a beat so delays actually draw.
 						time.Sleep(2 * time.Millisecond)
 					}
-					if _, err := pipe.RoundDetailed(ctx); err != nil {
+					if _, err := pipe.Round(ctx); err != nil {
 						t.Fatalf("round %d: %v", round, err)
 					}
 				}
@@ -96,7 +96,7 @@ func TestFaultMatrixConvergence(t *testing.T) {
 					time.Sleep(20 * time.Millisecond) // let the relay drain
 				}
 				for i := 0; i < settle; i++ {
-					if rep, err := pipe.RoundDetailed(ctx); err != nil {
+					if rep, err := pipe.Round(ctx); err != nil {
 						t.Fatalf("settle round %d: %v (report %+v)", i, err, rep)
 					}
 				}
@@ -141,7 +141,7 @@ func TestPermanentOutageBreakerRecovery(t *testing.T) {
 	repo := sources.NewRepo("src", sources.FormatCSV, sources.CapQueryable,
 		sources.Generate(77, sources.GenOptions{N: 10}))
 	w := newWarehouse(t)
-	if _, err := w.InitialLoad([]*sources.Repo{repo}); err != nil {
+	if _, err := w.InitialLoad(context.Background(), []*sources.Repo{repo}); err != nil {
 		t.Fatal(err)
 	}
 	inj := faultsrc.Wrap(repo, faultsrc.Config{Seed: 1})
@@ -149,7 +149,7 @@ func TestPermanentOutageBreakerRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe := etl.NewReportingPipeline([]etl.Detector{det}, w.ApplyDeltasReport)
+	pipe := etl.NewPipeline([]etl.Detector{det}, w.ApplyDeltas)
 	pipe.SetRetryPolicy(etl.RetryPolicy{
 		MaxAttempts:      3,
 		BreakerThreshold: 2,
@@ -161,7 +161,7 @@ func TestPermanentOutageBreakerRecovery(t *testing.T) {
 	inj.SetDown(true)
 	for round := 0; round < 4; round++ {
 		repo.ApplyRandomUpdates(int64(round), 3)
-		rep, err := pipe.RoundDetailed(ctx)
+		rep, err := pipe.Round(ctx)
 		if err != nil {
 			t.Fatalf("outage round %d: %v", round, err)
 		}
@@ -185,7 +185,7 @@ func TestPermanentOutageBreakerRecovery(t *testing.T) {
 	inj.SetDown(false)
 	time.Sleep(10 * time.Millisecond) // let the cooldown pass
 	for i := 0; i < 3; i++ {
-		if _, err := pipe.RoundDetailed(ctx); err != nil {
+		if _, err := pipe.Round(ctx); err != nil {
 			t.Fatalf("recovery round %d: %v", i, err)
 		}
 		time.Sleep(6 * time.Millisecond)
@@ -203,10 +203,10 @@ func TestApplyDeltasDuplicateKeys(t *testing.T) {
 	repo := sources.NewRepo("src", sources.FormatCSV, sources.CapQueryable,
 		sources.Generate(31, sources.GenOptions{N: 8}))
 	w := newWarehouse(t)
-	if _, err := w.InitialLoad([]*sources.Repo{repo}); err != nil {
+	if _, err := w.InitialLoad(context.Background(), []*sources.Repo{repo}); err != nil {
 		t.Fatal(err)
 	}
-	det, err := etl.NewSnapshotDiffMonitor(repo)
+	det, err := etl.NewSnapshotDiffMonitor(context.Background(), repo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestApplyDeltasDuplicateKeys(t *testing.T) {
 		t.Fatalf("poll = %d deltas, %v", len(deltas), err)
 	}
 	for pass := 0; pass < 2; pass++ {
-		rep, err := w.ApplyDeltasReport(deltas)
+		rep, err := w.ApplyDeltas(context.Background(), deltas)
 		if err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
 		}
@@ -234,7 +234,7 @@ func TestQuarantineDuringMaintenance(t *testing.T) {
 	repo := sources.NewRepo("src", sources.FormatCSV, sources.CapQueryable,
 		sources.Generate(13, sources.GenOptions{N: 5}))
 	w := newWarehouse(t)
-	if _, err := w.InitialLoad([]*sources.Repo{repo}); err != nil {
+	if _, err := w.InitialLoad(context.Background(), []*sources.Repo{repo}); err != nil {
 		t.Fatal(err)
 	}
 	good := sources.Record{ID: "NEW1", Version: 1, Organism: "Homo sapiens",
@@ -245,7 +245,7 @@ func TestQuarantineDuringMaintenance(t *testing.T) {
 		{Source: "src", ID: good.ID, Kind: sources.MutInsert, After: &good, Tick: 900},
 		{Source: "src", ID: bad.ID, Kind: sources.MutInsert, After: &bad, Tick: 901},
 	}
-	rep, err := w.ApplyDeltasReport(batch)
+	rep, err := w.ApplyDeltas(context.Background(), batch)
 	if err != nil {
 		t.Fatal(err)
 	}

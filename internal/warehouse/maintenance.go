@@ -34,26 +34,13 @@ func (w *Warehouse) PendingDeltas() int {
 // ApplyDeltas performs incremental, self-maintainable view maintenance:
 // each delta is applied using only the delta itself and current warehouse
 // contents — no source re-reads. Under manual refresh the deltas queue
-// instead. Malformed after-images are quarantined, not fatal; see
-// ApplyDeltasReport for the counts.
-func (w *Warehouse) ApplyDeltas(deltas []etl.Delta) error {
-	_, err := w.ApplyDeltasReport(deltas)
-	return err
-}
-
-// ApplyDeltasReport is ApplyDeltas with degradation accounting: it returns
-// how many deltas landed and how many were quarantined as malformed
-// (wrap-rejected after-images preserved with reason and raw payload). The
-// error is reserved for storage-side failures, which still abort the batch.
-func (w *Warehouse) ApplyDeltasReport(deltas []etl.Delta) (etl.SinkReport, error) {
-	return w.ApplyDeltasReportCtx(context.Background(), deltas)
-}
-
-// ApplyDeltasReportCtx is ApplyDeltasReport under the caller's context: the
-// batch runs inside a "warehouse.apply_deltas" trace span (with quarantine
-// events) when the context carries a tracer — which lets a traced ETL round
-// show the maintenance work nested under its sink stage.
-func (w *Warehouse) ApplyDeltasReportCtx(ctx context.Context, deltas []etl.Delta) (etl.SinkReport, error) {
+// instead. It returns how many deltas landed and how many were quarantined
+// as malformed (wrap-rejected after-images preserved with reason and raw
+// payload); the error is reserved for storage-side failures, which still
+// abort the batch. The batch runs inside a "warehouse.apply_deltas" trace
+// span (with quarantine events) when ctx carries a tracer, which lets a
+// traced ETL round show the maintenance work nested under its sink stage.
+func (w *Warehouse) ApplyDeltas(ctx context.Context, deltas []etl.Delta) (etl.SinkReport, error) {
 	w.mu.Lock()
 	manual := w.manualRefresh
 	if manual {
@@ -80,14 +67,8 @@ func (w *Warehouse) ApplyDeltasReportCtx(ctx context.Context, deltas []etl.Delta
 }
 
 // Refresh applies all queued deltas (manual mode's "advance updates").
-func (w *Warehouse) Refresh() (int, error) {
-	return w.RefreshCtx(context.Background())
-}
-
-// RefreshCtx is Refresh under the caller's context: quarantine events
-// from the apply land on the caller's trace span instead of vanishing
-// onto a detached background context.
-func (w *Warehouse) RefreshCtx(ctx context.Context) (int, error) {
+// Quarantine events from the apply land on ctx's trace span.
+func (w *Warehouse) Refresh(ctx context.Context) (int, error) {
 	w.mu.Lock()
 	queued := w.pending
 	w.pending = nil
@@ -361,6 +342,6 @@ func (w *Warehouse) FullReload(repos []*sources.Repo) error {
 			return err
 		}
 	}
-	_, err := w.InitialLoad(repos)
+	_, err := w.InitialLoad(context.Background(), repos)
 	return err
 }

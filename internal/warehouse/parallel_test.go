@@ -33,7 +33,7 @@ func dumpPublic(t *testing.T, w *Warehouse) map[string][]db.Row {
 func TestInitialLoadParallelMatchesSerial(t *testing.T) {
 	serial := newWarehouse(t)
 	serial.Workers = 1
-	statsS, err := serial.InitialLoad(twoRepos(t, 25))
+	statsS, err := serial.InitialLoad(context.Background(), twoRepos(t, 25))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestInitialLoadParallelMatchesSerial(t *testing.T) {
 	for _, workers := range []int{2, 4} {
 		par := newWarehouse(t)
 		par.Workers = workers
-		statsP, err := par.InitialLoad(twoRepos(t, 25))
+		statsP, err := par.InitialLoad(context.Background(), twoRepos(t, 25))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestInitialLoadParallelErrors(t *testing.T) {
 			[]sources.Record{{ID: "BAD1", Version: 1, Organism: "o", Description: "d", Sequence: "XYZ"}})
 		w := newWarehouse(t)
 		w.Workers = workers
-		if _, err := w.InitialLoad([]*sources.Repo{good, bad}); err != nil {
+		if _, err := w.InitialLoad(context.Background(), []*sources.Repo{good, bad}); err != nil {
 			t.Fatalf("workers=%d: load should degrade, got %v", workers, err)
 		}
 		if got := w.CountPublic(); got != len(good.Records()) {
@@ -87,7 +87,7 @@ func TestInitialLoadParallelErrors(t *testing.T) {
 			t.Errorf("workers=%d: quarantine row missing reason/payload: %+v", workers, qs[0])
 		}
 		// The quarantine is part of the public space: plain SQL reaches it.
-		res, err := w.Query("alice", `SELECT id, reason FROM quarantine`)
+		res, err := w.Query(context.Background(), "alice", `SELECT id, reason FROM quarantine`)
 		if err != nil {
 			t.Fatalf("workers=%d: querying quarantine: %v", workers, err)
 		}
@@ -104,10 +104,10 @@ func TestConcurrentQueryDuringRefresh(t *testing.T) {
 	w := newWarehouse(t)
 	repo := sources.NewRepo("src", sources.FormatCSV, sources.CapQueryable,
 		sources.Generate(1, sources.GenOptions{N: 60}))
-	if _, err := w.InitialLoad([]*sources.Repo{repo}); err != nil {
+	if _, err := w.InitialLoad(context.Background(), []*sources.Repo{repo}); err != nil {
 		t.Fatal(err)
 	}
-	det, err := etl.NewSnapshotDiffMonitor(repo)
+	det, err := etl.NewSnapshotDiffMonitor(context.Background(), repo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +124,11 @@ func TestConcurrentQueryDuringRefresh(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := w.Query("alice", `SELECT COUNT(*) FROM fragments`); err != nil {
+				if _, err := w.Query(context.Background(), "alice", `SELECT COUNT(*) FROM fragments`); err != nil {
 					t.Errorf("concurrent query: %v", err)
 					return
 				}
-				if _, err := w.Query("alice", `SELECT id FROM genes ORDER BY id LIMIT 5`); err != nil {
+				if _, err := w.Query(context.Background(), "alice", `SELECT id FROM genes ORDER BY id LIMIT 5`); err != nil {
 					t.Errorf("concurrent query: %v", err)
 					return
 				}
@@ -141,7 +141,7 @@ func TestConcurrentQueryDuringRefresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.ApplyDeltas(deltas); err != nil {
+		if _, err := w.ApplyDeltas(context.Background(), deltas); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -25,7 +25,7 @@ func TestInitialLoadTraced(t *testing.T) {
 	w := newWarehouse(t)
 	ctx, tr := tracedCtx()
 
-	if _, err := w.InitialLoadCtx(ctx, twoRepos(t, 30)); err != nil {
+	if _, err := w.InitialLoad(ctx, twoRepos(t, 30)); err != nil {
 		t.Fatal(err)
 	}
 	traces := tr.Traces()
@@ -69,10 +69,10 @@ func TestApplyDeltasTraced(t *testing.T) {
 	w := newWarehouse(t)
 	repo := sources.NewRepo("src", sources.FormatCSV, sources.CapQueryable,
 		sources.Generate(7, sources.GenOptions{N: 10}))
-	if _, err := w.InitialLoad([]*sources.Repo{repo}); err != nil {
+	if _, err := w.InitialLoad(context.Background(), []*sources.Repo{repo}); err != nil {
 		t.Fatal(err)
 	}
-	det, err := etl.NewSnapshotDiffMonitor(repo)
+	det, err := etl.NewSnapshotDiffMonitor(context.Background(), repo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestApplyDeltasTraced(t *testing.T) {
 	}
 
 	ctx, tr := tracedCtx()
-	rep, err := w.ApplyDeltasReportCtx(ctx, deltas)
+	rep, err := w.ApplyDeltas(ctx, deltas)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,15 +191,10 @@ func isPublicTable(name string) bool {
 // Query executes a statement as the given user, enforcing the paper's space
 // rules: the public schema is read-only to users ("the schema containing
 // the external data is read-only"); user tables are updatable by their
-// owners and readable by everyone when shared.
-func (w *Warehouse) Query(user, sql string) (*sqlang.Result, error) {
-	return w.QueryCtx(context.Background(), user, sql)
-}
-
-// QueryCtx is Query under the caller's context: statements run inside the
-// context's trace (a "sqlang.statement" span with per-operator children)
-// when one is active.
-func (w *Warehouse) QueryCtx(ctx context.Context, user, sql string) (*sqlang.Result, error) {
+// owners and readable by everyone when shared. Statements run inside ctx's
+// trace (a "sqlang.statement" span with per-operator children) when one is
+// active.
+func (w *Warehouse) Query(ctx context.Context, user, sql string) (*sqlang.Result, error) {
 	stmt, err := sqlang.Parse(sql)
 	if err != nil {
 		return nil, err
@@ -466,15 +461,9 @@ func (w *Warehouse) RestoreFromArchive(source string) ([]gdt.Value, error) {
 // Parsing and wrapping are CPU-bound and independent per repository, so
 // they fan out across w.Workers goroutines. Entries are concatenated in
 // repository order before integration, so the result is identical to a
-// serial load.
-func (w *Warehouse) InitialLoad(repos []*sources.Repo) (etl.IntegrationStats, error) {
-	return w.InitialLoadCtx(context.Background(), repos)
-}
-
-// InitialLoadCtx is InitialLoad under the caller's context: the bootstrap
-// runs inside a "warehouse.initial_load" trace span with one child per
-// source when the context carries a tracer.
-func (w *Warehouse) InitialLoadCtx(ctx context.Context, repos []*sources.Repo) (etl.IntegrationStats, error) {
+// serial load. The bootstrap runs inside a "warehouse.initial_load" trace
+// span with one child per source when ctx carries a tracer.
+func (w *Warehouse) InitialLoad(ctx context.Context, repos []*sources.Repo) (etl.IntegrationStats, error) {
 	rs := make([]sources.Repository, len(repos))
 	for i, r := range repos {
 		rs[i] = r

@@ -33,7 +33,7 @@ func twoRepos(t testing.TB, n int) []*sources.Repo {
 
 func mustQuery(t testing.TB, w *Warehouse, user, sql string) *sqlang.Result {
 	t.Helper()
-	r, err := w.Query(user, sql)
+	r, err := w.Query(context.Background(), user, sql)
 	if err != nil {
 		t.Fatalf("Query(%q): %v", sql, err)
 	}
@@ -43,7 +43,7 @@ func mustQuery(t testing.TB, w *Warehouse, user, sql string) *sqlang.Result {
 func TestInitialLoadAndQuery(t *testing.T) {
 	w := newWarehouse(t)
 	repos := twoRepos(t, 30)
-	stats, err := w.InitialLoad(repos)
+	stats, err := w.InitialLoad(context.Background(), repos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,16 +83,16 @@ func TestInitialLoadAndQuery(t *testing.T) {
 
 func TestPublicSpaceReadOnly(t *testing.T) {
 	w := newWarehouse(t)
-	if _, err := w.Query("alice", `INSERT INTO fragments VALUES ('x','o','d','s',1,1.0,1.0,1, dna('x','ACGT'))`); err == nil {
+	if _, err := w.Query(context.Background(), "alice", `INSERT INTO fragments VALUES ('x','o','d','s',1,1.0,1.0,1, dna('x','ACGT'))`); err == nil {
 		t.Error("insert into public table succeeded")
 	}
-	if _, err := w.Query("alice", `DELETE FROM fragments`); err == nil {
+	if _, err := w.Query(context.Background(), "alice", `DELETE FROM fragments`); err == nil {
 		t.Error("delete from public table succeeded")
 	}
-	if _, err := w.Query("alice", `CREATE INDEX ON fragments (organism)`); err == nil {
+	if _, err := w.Query(context.Background(), "alice", `CREATE INDEX ON fragments (organism)`); err == nil {
 		t.Error("index on public table succeeded")
 	}
-	if _, err := w.Query("alice", `CREATE TABLE mine (x int)`); err == nil {
+	if _, err := w.Query(context.Background(), "alice", `CREATE TABLE mine (x int)`); err == nil {
 		t.Error("raw CREATE TABLE allowed")
 	}
 }
@@ -116,10 +116,10 @@ func TestUserSpaceIsolationAndSharing(t *testing.T) {
 		t.Errorf("owner read = %v", r.Rows)
 	}
 	// Stranger can neither write nor read private tables.
-	if _, err := w.Query("bob", `INSERT INTO alice_notes VALUES ('x','y')`); err == nil {
+	if _, err := w.Query(context.Background(), "bob", `INSERT INTO alice_notes VALUES ('x','y')`); err == nil {
 		t.Error("stranger wrote to private table")
 	}
-	if _, err := w.Query("bob", `SELECT * FROM alice_notes`); err == nil {
+	if _, err := w.Query(context.Background(), "bob", `SELECT * FROM alice_notes`); err == nil {
 		t.Error("stranger read private table")
 	}
 	// Sharing opens reads, not writes.
@@ -129,10 +129,10 @@ func TestUserSpaceIsolationAndSharing(t *testing.T) {
 	if err := w.ShareTable("alice", "alice_notes"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Query("bob", `SELECT * FROM alice_notes`); err != nil {
+	if _, err := w.Query(context.Background(), "bob", `SELECT * FROM alice_notes`); err != nil {
 		t.Errorf("shared read failed: %v", err)
 	}
-	if _, err := w.Query("bob", `INSERT INTO alice_notes VALUES ('x','y')`); err == nil {
+	if _, err := w.Query(context.Background(), "bob", `INSERT INTO alice_notes VALUES ('x','y')`); err == nil {
 		t.Error("shared table writable by stranger")
 	}
 	// Collision with public names is rejected.
@@ -144,7 +144,7 @@ func TestUserSpaceIsolationAndSharing(t *testing.T) {
 func TestUserCanJoinPublicAndPrivate(t *testing.T) {
 	w := newWarehouse(t)
 	repos := twoRepos(t, 12)
-	if _, err := w.InitialLoad(repos); err != nil {
+	if _, err := w.InitialLoad(context.Background(), repos); err != nil {
 		t.Fatal(err)
 	}
 	err := w.CreateUserTable("alice", db.Schema{
@@ -169,7 +169,7 @@ func TestIncrementalMaintenance(t *testing.T) {
 	w := newWarehouse(t)
 	repo := sources.NewRepo("genbank1", sources.FormatGenBank, sources.CapLogged,
 		sources.Generate(200, sources.GenOptions{N: 40}))
-	if _, err := w.InitialLoad([]*sources.Repo{repo}); err != nil {
+	if _, err := w.InitialLoad(context.Background(), []*sources.Repo{repo}); err != nil {
 		t.Fatal(err)
 	}
 	det, err := etl.NewLogMonitor(repo)
@@ -187,7 +187,7 @@ func TestIncrementalMaintenance(t *testing.T) {
 	if len(deltas) == 0 {
 		t.Fatal("no deltas detected")
 	}
-	if err := w.ApplyDeltas(deltas); err != nil {
+	if _, err := w.ApplyDeltas(context.Background(), deltas); err != nil {
 		t.Fatal(err)
 	}
 	// The warehouse now mirrors the source exactly.
@@ -216,7 +216,7 @@ func assertRecordsPresent(t *testing.T, w *Warehouse, recs []sources.Record) {
 		if rec.ExonSpec != "" {
 			table = TableGenes
 		}
-		r, err := w.Query("test", fmt.Sprintf(`SELECT * FROM %s WHERE id = '%s'`, table, rec.ID))
+		r, err := w.Query(context.Background(), "test", fmt.Sprintf(`SELECT * FROM %s WHERE id = '%s'`, table, rec.ID))
 		if err != nil {
 			t.Fatalf("query %s: %v", rec.ID, err)
 		}
@@ -246,10 +246,10 @@ func TestIncrementalEqualsFullReload(t *testing.T) {
 		sources.Generate(300, sources.GenOptions{N: 50}))
 	repo2 := sources.NewRepo("src", sources.FormatCSV, sources.CapQueryable,
 		sources.Generate(300, sources.GenOptions{N: 50}))
-	if _, err := wInc.InitialLoad([]*sources.Repo{repo1}); err != nil {
+	if _, err := wInc.InitialLoad(context.Background(), []*sources.Repo{repo1}); err != nil {
 		t.Fatal(err)
 	}
-	det, err := etl.NewSnapshotDiffMonitor(repo1)
+	det, err := etl.NewSnapshotDiffMonitor(context.Background(), repo1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,10 +259,10 @@ func TestIncrementalEqualsFullReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wInc.ApplyDeltas(deltas); err != nil {
+	if _, err := wInc.ApplyDeltas(context.Background(), deltas); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wFull.InitialLoad([]*sources.Repo{repo2}); err != nil {
+	if _, err := wFull.InitialLoad(context.Background(), []*sources.Repo{repo2}); err != nil {
 		t.Fatal(err)
 	}
 	assertMirrors(t, wInc, repo1)
@@ -276,14 +276,14 @@ func TestManualRefreshDefersUpdates(t *testing.T) {
 	w := newWarehouse(t)
 	repo := sources.NewRepo("src", sources.FormatCSV, sources.CapQueryable,
 		sources.Generate(400, sources.GenOptions{N: 20}))
-	if _, err := w.InitialLoad([]*sources.Repo{repo}); err != nil {
+	if _, err := w.InitialLoad(context.Background(), []*sources.Repo{repo}); err != nil {
 		t.Fatal(err)
 	}
-	det, _ := etl.NewSnapshotDiffMonitor(repo)
+	det, _ := etl.NewSnapshotDiffMonitor(context.Background(), repo)
 	w.SetManualRefresh(true)
 	repo.ApplyRandomUpdates(3, 10)
 	deltas, _ := det.Poll(context.Background())
-	if err := w.ApplyDeltas(deltas); err != nil {
+	if _, err := w.ApplyDeltas(context.Background(), deltas); err != nil {
 		t.Fatal(err)
 	}
 	if w.PendingDeltas() != len(deltas) {
@@ -292,7 +292,7 @@ func TestManualRefreshDefersUpdates(t *testing.T) {
 	// Warehouse content unchanged until Refresh.
 	before := w.CountPublic()
 	_ = before
-	n, err := w.Refresh()
+	n, err := w.Refresh(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,13 +305,13 @@ func TestManualRefreshDefersUpdates(t *testing.T) {
 func TestDeleteOfMergedEntityKeepsOtherSource(t *testing.T) {
 	w := newWarehouse(t)
 	repos := twoRepos(t, 9)
-	if _, err := w.InitialLoad(repos); err != nil {
+	if _, err := w.InitialLoad(context.Background(), repos); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate source embl1 deleting SYN000001.
 	rec := repos[1].Records()[1]
 	d := etl.Delta{Source: "embl1", Kind: sources.MutDelete, ID: rec.ID, Before: &rec, Tick: 1}
-	if err := w.ApplyDeltas([]etl.Delta{d}); err != nil {
+	if _, err := w.ApplyDeltas(context.Background(), []etl.Delta{d}); err != nil {
 		t.Fatal(err)
 	}
 	// The entity survives, now attributed only to genbank1.
@@ -327,7 +327,7 @@ func TestDeleteOfMergedEntityKeepsOtherSource(t *testing.T) {
 func TestArchiveAndRestore(t *testing.T) {
 	w := newWarehouse(t)
 	repos := twoRepos(t, 12)
-	if _, err := w.InitialLoad(repos); err != nil {
+	if _, err := w.InitialLoad(context.Background(), repos); err != nil {
 		t.Fatal(err)
 	}
 	n, err := w.ArchiveSource("genbank1", 12345)
@@ -359,7 +359,7 @@ func TestArchiveAndRestore(t *testing.T) {
 func TestGenomicQueriesOverWarehouse(t *testing.T) {
 	w := newWarehouse(t)
 	repos := twoRepos(t, 15)
-	if _, err := w.InitialLoad(repos); err != nil {
+	if _, err := w.InitialLoad(context.Background(), repos); err != nil {
 		t.Fatal(err)
 	}
 	// The paper's flagship query shape over the warehouse, with an algebra
@@ -394,7 +394,7 @@ func BenchmarkInitialLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w := newWarehouse(b)
 		repos := twoRepos(b, 100)
-		if _, err := w.InitialLoad(repos); err != nil {
+		if _, err := w.InitialLoad(context.Background(), repos); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -404,10 +404,10 @@ func BenchmarkIncrementalMaintenance(b *testing.B) {
 	w := newWarehouse(b)
 	repo := sources.NewRepo("src", sources.FormatCSV, sources.CapQueryable,
 		sources.Generate(1, sources.GenOptions{N: 500}))
-	if _, err := w.InitialLoad([]*sources.Repo{repo}); err != nil {
+	if _, err := w.InitialLoad(context.Background(), []*sources.Repo{repo}); err != nil {
 		b.Fatal(err)
 	}
-	det, _ := etl.NewSnapshotDiffMonitor(repo)
+	det, _ := etl.NewSnapshotDiffMonitor(context.Background(), repo)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		repo.ApplyRandomUpdates(int64(i), 5)
@@ -415,7 +415,7 @@ func BenchmarkIncrementalMaintenance(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := w.ApplyDeltas(deltas); err != nil {
+		if _, err := w.ApplyDeltas(context.Background(), deltas); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -424,10 +424,10 @@ func BenchmarkIncrementalMaintenance(b *testing.B) {
 func TestUpdateRespectsSpaces(t *testing.T) {
 	w := newWarehouse(t)
 	repos := twoRepos(t, 6)
-	if _, err := w.InitialLoad(repos); err != nil {
+	if _, err := w.InitialLoad(context.Background(), repos); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Query("alice", `UPDATE fragments SET quality = 0`); err == nil {
+	if _, err := w.Query(context.Background(), "alice", `UPDATE fragments SET quality = 0`); err == nil {
 		t.Error("public table updated by user")
 	}
 	if err := w.CreateUserTable("alice", db.Schema{
@@ -437,7 +437,7 @@ func TestUpdateRespectsSpaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustQuery(t, w, "alice", `INSERT INTO alice_t VALUES (1)`)
-	if _, err := w.Query("bob", `UPDATE alice_t SET n = 2`); err == nil {
+	if _, err := w.Query(context.Background(), "bob", `UPDATE alice_t SET n = 2`); err == nil {
 		t.Error("stranger updated private table")
 	}
 	r := mustQuery(t, w, "alice", `UPDATE alice_t SET n = 5`)
@@ -454,7 +454,7 @@ func TestWarehousePersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	repos := twoRepos(t, 15)
-	if _, err := w.InitialLoad(repos); err != nil {
+	if _, err := w.InitialLoad(context.Background(), repos); err != nil {
 		t.Fatal(err)
 	}
 	// User space content persists too.
@@ -495,11 +495,11 @@ func TestWarehousePersistence(t *testing.T) {
 	if len(r.Rows) != 1 || r.Rows[0][0] != "persisted note" {
 		t.Errorf("shared user table after reopen = %v", r.Rows)
 	}
-	if _, err := w2.Query("bob", `INSERT INTO alice_p VALUES ('x')`); err == nil {
+	if _, err := w2.Query(context.Background(), "bob", `INSERT INTO alice_p VALUES ('x')`); err == nil {
 		t.Error("ownership lost across reopen")
 	}
 	// Maintenance continues on the reopened warehouse.
-	det, err := etl.NewSnapshotDiffMonitor(repos[1])
+	det, err := etl.NewSnapshotDiffMonitor(context.Background(), repos[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +508,7 @@ func TestWarehousePersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.ApplyDeltas(deltas); err != nil {
+	if _, err := w2.ApplyDeltas(context.Background(), deltas); err != nil {
 		t.Fatal(err)
 	}
 	// Double-create in a used directory is rejected.
@@ -520,7 +520,7 @@ func TestWarehousePersistence(t *testing.T) {
 func TestAssembleGenomes(t *testing.T) {
 	w := newWarehouse(t)
 	repos := twoRepos(t, 30) // 10 genes, one organism
-	if _, err := w.InitialLoad(repos); err != nil {
+	if _, err := w.InitialLoad(context.Background(), repos); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := w.AssembleGenomes(4)
@@ -575,7 +575,7 @@ func TestAssembleGenomes(t *testing.T) {
 		}
 	}
 	// Assembly tables are read-only public space.
-	if _, err := w.Query("u", `DELETE FROM chromosomes`); err == nil {
+	if _, err := w.Query(context.Background(), "u", `DELETE FROM chromosomes`); err == nil {
 		t.Error("user deleted from chromosomes")
 	}
 	// Re-assembly replaces rather than duplicates.
@@ -596,7 +596,7 @@ func TestFullReloadMatchesSource(t *testing.T) {
 	w := newWarehouse(t)
 	repo := sources.NewRepo("src", sources.FormatCSV, sources.CapQueryable,
 		sources.Generate(600, sources.GenOptions{N: 40}))
-	if _, err := w.InitialLoad([]*sources.Repo{repo}); err != nil {
+	if _, err := w.InitialLoad(context.Background(), []*sources.Repo{repo}); err != nil {
 		t.Fatal(err)
 	}
 	repo.ApplyRandomUpdates(13, 20)
@@ -618,13 +618,13 @@ func TestUpsertMergesAcrossSourcesIncrementally(t *testing.T) {
 	w := newWarehouse(t)
 	clean := sources.NewRepo("clean", sources.FormatCSV, sources.CapQueryable,
 		sources.Generate(700, sources.GenOptions{N: 6}))
-	if _, err := w.InitialLoad([]*sources.Repo{clean}); err != nil {
+	if _, err := w.InitialLoad(context.Background(), []*sources.Repo{clean}); err != nil {
 		t.Fatal(err)
 	}
 	noisyRecs := sources.Generate(700, sources.GenOptions{N: 6, ErrorRate: 1})
 	rec := noisyRecs[1] // fragment (not a gene), mutated + low quality
 	d := etl.Delta{Source: "noisy", Kind: sources.MutInsert, ID: rec.ID, After: &rec, Tick: 1}
-	if err := w.ApplyDeltas([]etl.Delta{d}); err != nil {
+	if _, err := w.ApplyDeltas(context.Background(), []etl.Delta{d}); err != nil {
 		t.Fatal(err)
 	}
 	r := mustQuery(t, w, "u", fmt.Sprintf(`SELECT source, nsources, quality FROM fragments WHERE id = '%s'`, rec.ID))
@@ -647,7 +647,7 @@ func TestUpsertMergesAcrossSourcesIncrementally(t *testing.T) {
 	rec2.Version++
 	rec2.Description = "revised"
 	d2 := etl.Delta{Source: "noisy", Kind: sources.MutUpdate, ID: rec.ID, Before: &rec, After: &rec2, Tick: 2}
-	if err := w.ApplyDeltas([]etl.Delta{d2}); err != nil {
+	if _, err := w.ApplyDeltas(context.Background(), []etl.Delta{d2}); err != nil {
 		t.Fatal(err)
 	}
 	ra = mustQuery(t, w, "u", fmt.Sprintf(`SELECT provenance FROM fragment_alts WHERE id = '%s'`, rec.ID))
@@ -667,12 +667,12 @@ func TestApplyDeltaErrors(t *testing.T) {
 	w := newWarehouse(t)
 	// Insert delta without after-image.
 	d := etl.Delta{Source: "s", Kind: sources.MutInsert, ID: "x"}
-	if err := w.ApplyDeltas([]etl.Delta{d}); err == nil {
+	if _, err := w.ApplyDeltas(context.Background(), []etl.Delta{d}); err == nil {
 		t.Error("insert delta without after accepted")
 	}
 	// Delete of an unknown entity is a harmless no-op.
 	del := etl.Delta{Source: "s", Kind: sources.MutDelete, ID: "ghost"}
-	if err := w.ApplyDeltas([]etl.Delta{del}); err != nil {
+	if _, err := w.ApplyDeltas(context.Background(), []etl.Delta{del}); err != nil {
 		t.Errorf("delete of unknown entity errored: %v", err)
 	}
 }
@@ -719,7 +719,7 @@ func TestInitialLoadMatchedResolvesAliases(t *testing.T) {
 		t.Errorf("merged entity = %v", rr.Rows)
 	}
 	// crossrefs is public-space read-only.
-	if _, err := w.Query("u", `DELETE FROM crossrefs`); err == nil {
+	if _, err := w.Query(context.Background(), "u", `DELETE FROM crossrefs`); err == nil {
 		t.Error("user deleted crossrefs")
 	}
 }
@@ -753,7 +753,7 @@ func TestLongSoakMaintenance(t *testing.T) {
 		sources.NewRepo("fas", sources.FormatFASTA, sources.CapNonQueryable,
 			sources.Generate(1004, sources.GenOptions{N: 60, IDPrefix: "FAS"})),
 	}
-	if _, err := w.InitialLoad(repos); err != nil {
+	if _, err := w.InitialLoad(context.Background(), repos); err != nil {
 		t.Fatal(err)
 	}
 	var dets []etl.Detector
@@ -774,7 +774,7 @@ func TestLongSoakMaintenance(t *testing.T) {
 		for i, r := range repos {
 			r.ApplyRandomUpdates(int64(round*31+i), 6)
 		}
-		if _, err := pipe.Round(); err != nil {
+		if _, err := pipe.Round(context.Background()); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
