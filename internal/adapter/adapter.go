@@ -195,13 +195,15 @@ func registerOps(d *db.DB, k *genops.Kernel) error {
 			Cost:        cost,
 			IndexHint:   hint,
 			Fn: func(args []any) (any, error) {
-				sorts := make([]core.Sort, len(args))
+				// Up to four argument sorts live on the stack.
+				var buf [4]core.Sort
+				sorts := buf[:0]
 				for i, a := range args {
 					s, err := sortOfRuntime(a)
 					if err != nil {
 						return nil, fmt.Errorf("adapter: %s argument %d: %w", name, i, err)
 					}
-					sorts[i] = s
+					sorts = append(sorts, s)
 				}
 				return k.Alg.Call(name, sorts, args)
 			},

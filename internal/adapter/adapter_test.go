@@ -286,3 +286,34 @@ func TestRNAAndAnnotationColumnsThroughSQL(t *testing.T) {
 		t.Errorf("annotation = %+v", ann)
 	}
 }
+
+// TestGCContentDispatchAllocatesOnlyResult pins the cost of calling an
+// algebra operation through its registered external function: overload
+// resolution builds no key and the argument sorts stay on the stack, so the
+// only allocation is boxing the float64 result.
+func TestGCContentDispatchAllocatesOnlyResult(t *testing.T) {
+	d, err := db.OpenMemory(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Install(d, genops.NewKernel()); err != nil {
+		t.Fatal(err)
+	}
+	fn, ok := d.Funcs.Get("gccontent")
+	if !ok {
+		t.Fatal("gccontent not registered")
+	}
+	args := []any{gdt.DNA{Seq: seq.MustNucSeq(seq.AlphaDNA, "ACGTGGCCATGCGCGTATAT")}}
+	out, err := fn.Fn(args)
+	if err != nil || out != 0.55 {
+		t.Fatalf("gccontent = %v, %v; want 0.55", out, err)
+	}
+	if n := testing.AllocsPerRun(200, func() { _, _ = fn.Fn(args) }); n > 1 {
+		t.Errorf("gccontent dispatch: %v allocations per call, want at most 1", n)
+	}
+	// An argument no overload accepts keeps its error text.
+	_, err = fn.Fn([]any{"ACGT"})
+	if want := `core: no overload of "gccontent" accepts (string)`; err == nil || err.Error() != want {
+		t.Errorf("gccontent('ACGT') error = %v, want %q", err, want)
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -23,8 +24,15 @@ type CarrierCheck func(v any) bool
 type Algebra struct {
 	sig      *Signature
 	mu       sync.RWMutex
-	funcs    map[string]OpFunc // by overload key
+	funcs    map[string][]impl // by operator name, one entry per overload
 	carriers map[Sort]CarrierCheck
+}
+
+// impl is one registered overload's implementation, keyed by its argument
+// sorts.
+type impl struct {
+	args []Sort
+	fn   OpFunc
 }
 
 // NewAlgebra creates an algebra over sig with builtin carriers for bool,
@@ -32,7 +40,7 @@ type Algebra struct {
 func NewAlgebra(sig *Signature) *Algebra {
 	a := &Algebra{
 		sig:      sig,
-		funcs:    make(map[string]OpFunc),
+		funcs:    make(map[string][]impl),
 		carriers: make(map[Sort]CarrierCheck),
 	}
 	a.carriers[SortBool] = func(v any) bool { _, ok := v.(bool); return ok }
@@ -63,7 +71,28 @@ func (a *Algebra) Register(op OpSig, fn OpFunc) error {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.funcs[op.key()] = fn
+	impls := a.funcs[op.Name]
+	for i := range impls {
+		if slices.Equal(impls[i].args, op.Args) {
+			impls[i].fn = fn
+			return nil
+		}
+	}
+	a.funcs[op.Name] = append(impls, impl{args: slices.Clone(op.Args), fn: fn})
+	return nil
+}
+
+// lookup returns the implementation of the overload of name taking exactly
+// argSorts, or nil. It compares sorts in place: no key is built and nothing
+// is allocated.
+func (a *Algebra) lookup(name string, argSorts []Sort) OpFunc {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	for _, im := range a.funcs[name] {
+		if slices.Equal(im.args, argSorts) {
+			return im.fn
+		}
+	}
 	return nil
 }
 
@@ -112,9 +141,7 @@ func (a *Algebra) Eval(t *Term, env Env) (any, error) {
 		}
 		args[i] = v
 	}
-	a.mu.RLock()
-	fn := a.funcs[t.op.key()]
-	a.mu.RUnlock()
+	fn := a.lookup(t.op.Name, t.op.Args)
 	if fn == nil {
 		return nil, &EvalError{Term: t.String(), Err: fmt.Errorf("operator %s has no implementation", t.op)}
 	}
@@ -137,17 +164,15 @@ func (a *Algebra) checkCarrier(s Sort, v any, t *Term) error {
 
 // Call resolves and invokes an operator directly on values, inferring
 // nothing: the caller supplies the argument sorts. It is the fast path used
-// by the DBMS adapter, bypassing Term construction.
+// by the DBMS adapter, bypassing Term construction: one lookup, no
+// allocation beyond what the operator itself does.
 func (a *Algebra) Call(name string, argSorts []Sort, args []any) (any, error) {
-	op, ok := a.sig.Resolve(name, argSorts)
-	if !ok {
-		return nil, fmt.Errorf("core: no overload of %q accepts (%s)", name, joinSorts(argSorts))
-	}
-	a.mu.RLock()
-	fn := a.funcs[op.key()]
-	a.mu.RUnlock()
+	fn := a.lookup(name, argSorts)
 	if fn == nil {
-		return nil, fmt.Errorf("core: operator %s has no implementation", op)
+		if op, ok := a.sig.Resolve(name, argSorts); ok {
+			return nil, fmt.Errorf("core: operator %s has no implementation", op)
+		}
+		return nil, fmt.Errorf("core: no overload of %q accepts (%s)", name, joinSorts(argSorts))
 	}
 	return fn(args)
 }

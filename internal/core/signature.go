@@ -14,6 +14,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -164,8 +165,12 @@ func (s *Signature) MustAddOp(op OpSig) {
 func (s *Signature) Resolve(name string, args []Sort) (OpSig, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	op, ok := s.ops[OpSig{Name: name, Args: args}.key()]
-	return op, ok
+	for _, op := range s.byOp[name] {
+		if slices.Equal(op.Args, args) {
+			return op, true
+		}
+	}
+	return OpSig{}, false
 }
 
 // Overloads returns all registered overloads of an operator name, in

@@ -3,6 +3,7 @@ package seq
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -149,16 +150,25 @@ func (s NucSeq) ReverseComplement() NucSeq {
 }
 
 // GCContent returns the fraction of G and C bases, or 0 for the empty
-// sequence.
+// sequence. It counts over the packed bytes: C (01) and G (10) are the
+// codes whose two bits differ, so x ^ x>>1 masked to the even bits has one
+// set bit per G or C base. Bits past the last base are masked off.
 func (s NucSeq) GCContent() float64 {
 	if s.n == 0 {
 		return 0
 	}
+	full := s.data[:s.n>>2]
 	gc := 0
-	for i := 0; i < s.n; i++ {
-		if b := s.At(i); b == C || b == G {
-			gc++
-		}
+	for ; len(full) >= 8; full = full[8:] {
+		w := binary.LittleEndian.Uint64(full)
+		gc += bits.OnesCount64((w ^ w>>1) & 0x5555555555555555)
+	}
+	for _, b := range full {
+		gc += bits.OnesCount8((b ^ b>>1) & 0x55)
+	}
+	if r := s.n & 3; r != 0 {
+		b := s.data[s.n>>2]
+		gc += bits.OnesCount8((b ^ b>>1) & 0x55 & (byte(1)<<(2*r) - 1))
 	}
 	return float64(gc) / float64(s.n)
 }

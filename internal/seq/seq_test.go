@@ -168,6 +168,64 @@ func TestGCContent(t *testing.T) {
 	}
 }
 
+// gcContentRef is the per-base reference GCContent is checked against.
+func gcContentRef(s NucSeq) float64 {
+	if s.Len() == 0 {
+		return 0
+	}
+	gc := 0
+	for i := 0; i < s.Len(); i++ {
+		if b := s.At(i); b == C || b == G {
+			gc++
+		}
+	}
+	return float64(gc) / float64(s.Len())
+}
+
+// TestGCContentPackedMatchesPerBase checks the packed-byte G+C count
+// against the per-base reference, bit for bit: both alphabets, every
+// length 0–67 (every tail shape around the 8-byte word loop), seeded
+// random sequences, and packed buffers whose unused tail bits are set.
+func TestGCContentPackedMatchesPerBase(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	randBases := func(n int) []Base {
+		bs := make([]Base, n)
+		for i := range bs {
+			bs[i] = Base(rng.Intn(4))
+		}
+		return bs
+	}
+	check := func(s NucSeq) {
+		t.Helper()
+		if got, want := s.GCContent(), gcContentRef(s); got != want {
+			t.Fatalf("GCContent(%v, n=%d) = %v, per-base reference %v", s.Alphabet(), s.Len(), got, want)
+		}
+	}
+	for _, a := range []Alphabet{AlphaDNA, AlphaRNA} {
+		for n := 0; n <= 67; n++ {
+			for rep := 0; rep < 8; rep++ {
+				s := FromBases(a, randBases(n))
+				check(s)
+				// Same bases with the unused tail pairs dirtied to C, G
+				// or T codes: the kernel must mask them off.
+				packed := s.Pack()
+				if n&3 != 0 {
+					dirt := []byte{0x55, 0xAA, 0xFF}[rep%3]
+					packed[len(packed)-1] |= dirt << (2 * uint(n&3))
+				}
+				dirty, err := UnpackNucSeq(packed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(dirty)
+			}
+		}
+		for rep := 0; rep < 200; rep++ {
+			check(FromBases(a, randBases(rng.Intn(5000))))
+		}
+	}
+}
+
 func TestIndexOfContains(t *testing.T) {
 	s := MustNucSeq(AlphaDNA, "ACGTACGTTT")
 	cases := []struct {

@@ -54,6 +54,39 @@ type joinState struct {
 	built bool
 	ht    map[string][]db.Row
 	inner []db.Row
+	// merged cuts this step's output rows.
+	merged rowSlab
+}
+
+// rowSlab cuts fixed-width working rows from shared backing arrays instead
+// of one make per row. The arrays start small and double up to one batch
+// of rows, so a statement producing a handful of rows does not pay for a
+// batch-sized allocation. Each row is cap-limited (three-index slice), so
+// appending to one can never write into its neighbour. Backing arrays are
+// never reused: rows cut from them may be retained in the statement's
+// working set.
+type rowSlab struct {
+	width   int
+	n, maxN int // rows in the next backing array, and its cap
+	buf     db.Row
+}
+
+// slabStartRows is the row count of a slab's first backing array.
+const slabStartRows = 16
+
+func newRowSlab(width, batch int) rowSlab {
+	return rowSlab{width: width, n: min(slabStartRows, batch), maxN: batch}
+}
+
+// next returns a fresh zeroed row of the slab's width.
+func (s *rowSlab) next() db.Row {
+	if len(s.buf) < s.width {
+		s.buf = make(db.Row, s.width*s.n)
+		s.n = min(2*s.n, s.maxN)
+	}
+	r := s.buf[:s.width:s.width]
+	s.buf = s.buf[s.width:]
+	return r
 }
 
 // runPlan executes a planned SELECT and returns the working rows (full
@@ -73,6 +106,7 @@ func (e *Engine) runPlan(qctx context.Context, pl *selectPlan, ectx *evalCtx) ([
 	joins := make([]joinState, len(pl.joins))
 	for i := range pl.joins {
 		joins[i].step = &pl.joins[i]
+		joins[i].merged = newRowSlab(pl.width, bs)
 	}
 	var nBatches, nRows int64
 
@@ -150,12 +184,14 @@ func (e *Engine) runPlan(qctx context.Context, pl *selectPlan, ectx *evalCtx) ([
 	}
 
 	// widen places a driving-table row into its segment of a full-width
-	// working row; single-table queries use scanned rows directly.
+	// working row cut from a slab; single-table queries use scanned rows
+	// directly.
+	wide := newRowSlab(pl.width, bs)
 	widen := func(row db.Row) db.Row {
 		if !multi {
 			return row
 		}
-		wr := make(db.Row, pl.width)
+		wr := wide.next()
 		copy(wr[driver.offset:], row)
 		return wr
 	}
@@ -199,7 +235,7 @@ func (e *Engine) runPlan(qctx context.Context, pl *selectPlan, ectx *evalCtx) ([
 		var scanned, keptRows, filterNanos, accessNanos atomic.Int64
 		var batches, batchRows atomic.Int64
 		err := parallel.ForEach(qctx, w, w, func(part int) error {
-			pctx := &evalCtx{scope: pl.sc, funcs: e.DB.Funcs}
+			pctx := &evalCtx{}
 			var kept []db.Row
 			var localScanned, localFilterNanos int64
 			var innerErr error
@@ -362,7 +398,7 @@ func (e *Engine) joinBatch(qctx context.Context, pl *selectPlan, js *joinState, 
 	st := js.step
 	sl := pl.tables[st.slot]
 	merged := func(prow, brow db.Row) db.Row {
-		m := make(db.Row, pl.width)
+		m := js.merged.next()
 		copy(m, prow)
 		copy(m[sl.offset:], brow)
 		return m
@@ -395,11 +431,10 @@ func (e *Engine) joinBatch(qctx context.Context, pl *selectPlan, js *joinState, 
 			// the nested loop would never have compared anything).
 			return nil, nil
 		}
-		var kb []byte
 		for _, prow := range batch {
 			ectx.row = prow
-			key, ok, err := joinKey(ectx, st.probeKey, kb[:0])
-			kb = key
+			key, ok, err := joinKey(ectx, st.probeKey, ectx.key[:0])
+			ectx.key = key
 			if err != nil {
 				return nil, err
 			}
@@ -434,7 +469,6 @@ func (e *Engine) buildJoin(qctx context.Context, pl *selectPlan, js *joinState, 
 	// Pushed predicates and build keys reference only this table's columns,
 	// evaluated through a scratch working row holding just its segment.
 	scratch := make(db.Row, pl.width)
-	var kb []byte
 	bs := e.batchSize()
 	n := 0
 	var innerErr error
@@ -457,8 +491,8 @@ func (e *Engine) buildJoin(qctx context.Context, pl *selectPlan, js *joinState, 
 			}
 		}
 		if st.hash {
-			key, ok, err := joinKey(ectx, st.buildKey, kb[:0])
-			kb = key
+			key, ok, err := joinKey(ectx, st.buildKey, ectx.key[:0])
+			ectx.key = key
 			if err != nil {
 				innerErr = err
 				return false

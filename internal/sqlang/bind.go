@@ -1,0 +1,161 @@
+package sqlang
+
+import (
+	"fmt"
+	"strings"
+
+	"genalg/internal/db"
+)
+
+// scope maps qualified and unqualified column names to positions in the
+// working row. Only planning (predMask, keyDistinct) and the binder
+// resolve names; evaluation reads bound positions.
+type scope struct {
+	// cols[i] is the fully qualified name "table.col"; bare[i] the bare name.
+	cols []string
+	bare []string
+}
+
+func newScope() *scope { return &scope{} }
+
+func (s *scope) add(table string, schema db.Schema) {
+	for _, c := range schema.Columns {
+		s.cols = append(s.cols, table+"."+c.Name)
+		s.bare = append(s.bare, c.Name)
+	}
+}
+
+// resolve returns the row position of a column reference.
+func (s *scope) resolve(ref *ColRef) (int, error) {
+	if ref.Table != "" {
+		want := ref.Table + "." + ref.Name
+		for i, c := range s.cols {
+			if strings.EqualFold(c, want) {
+				return i, nil
+			}
+		}
+		return -1, fmt.Errorf("sqlang: unknown column %s", want)
+	}
+	found := -1
+	for i, b := range s.bare {
+		if strings.EqualFold(b, ref.Name) {
+			if found >= 0 {
+				return -1, fmt.Errorf("sqlang: ambiguous column %q (qualify with table name)", ref.Name)
+			}
+			found = i
+		}
+	}
+	if found < 0 {
+		return -1, fmt.Errorf("sqlang: unknown column %q", ref.Name)
+	}
+	return found, nil
+}
+
+// boundCol is a column reference resolved to its position in the working
+// row. It prints as its source reference, so plan text is unchanged.
+type boundCol struct {
+	src *ColRef
+	pos int
+}
+
+// String implements Expr.
+func (c *boundCol) String() string { return c.src.String() }
+
+// boundFunc is a function call holding its looked-up external function and
+// bound arguments.
+type boundFunc struct {
+	src  *FuncCall
+	fn   db.ExternalFunc
+	args []Expr
+}
+
+// String implements Expr.
+func (f *boundFunc) String() string { return f.src.String() }
+
+// unbound stands in for a column or function call that failed to bind.
+// Evaluating it returns the binding error, so a statement fails exactly
+// when (and only when) a row reaches the reference: a bad name over an
+// empty input is not an error.
+type unbound struct {
+	src Expr
+	err error
+}
+
+// String implements Expr.
+func (u *unbound) String() string { return u.src.String() }
+
+// binder resolves a statement's expressions once, before execution: column
+// references become row positions and function calls carry their external
+// function. It never writes into the parsed AST (a prepared Stmt is shared
+// by every execution); it returns bound copies instead.
+//
+// Binding runs after planning, so the planner's pointer-identity matching
+// (the consumed access-path conjunct, hash-join key pairs) compares source
+// nodes and never sees a bound one; nothing after binding compares nodes
+// by identity, so no original→bound map is kept.
+type binder struct {
+	sc    *scope
+	funcs *db.FuncRegistry
+}
+
+func newBinder(sc *scope, funcs *db.FuncRegistry) *binder {
+	return &binder{sc: sc, funcs: funcs}
+}
+
+// bind returns the bound copy of x (nil for nil).
+func (b *binder) bind(x Expr) Expr {
+	switch p := x.(type) {
+	case *ColRef:
+		i, err := b.sc.resolve(p)
+		if err != nil {
+			return &unbound{src: p, err: err}
+		}
+		return &boundCol{src: p, pos: i}
+	case *FuncCall:
+		fn, ok := b.funcs.Get(p.Name)
+		switch {
+		case !ok:
+			return &unbound{src: p, err: fmt.Errorf("sqlang: unknown function %q (registered: %s)", p.Name, strings.Join(b.funcs.Names(), ", "))}
+		case fn.NArgs > 0 && len(p.Args) != fn.NArgs:
+			return &unbound{src: p, err: fmt.Errorf("sqlang: function %s expects %d arguments, got %d", p.Name, fn.NArgs, len(p.Args))}
+		}
+		return &boundFunc{src: p, fn: fn, args: b.bindAll(p.Args)}
+	case *BinOp:
+		return &BinOp{Op: p.Op, L: b.bind(p.L), R: b.bind(p.R)}
+	case *UnOp:
+		return &UnOp{Op: p.Op, E: b.bind(p.E)}
+	case *IsNull:
+		return &IsNull{E: b.bind(p.E), Negate: p.Negate}
+	case *Aggregate:
+		return &Aggregate{Fn: p.Fn, Arg: b.bind(p.Arg)}
+	}
+	return x // nil and literals carry no names
+}
+
+// bindAll binds a list, returning nil for an empty one.
+func (b *binder) bindAll(xs []Expr) []Expr {
+	if len(xs) == 0 {
+		return nil
+	}
+	out := make([]Expr, len(xs))
+	for i, x := range xs {
+		out[i] = b.bind(x)
+	}
+	return out
+}
+
+// bindPlan replaces every expression list the executor evaluates — driver,
+// pushed, after and residual filters, and hash-join probe and build keys —
+// with its bound copy. Planning (and the EXPLAIN text it records) has
+// already run on the source expressions.
+func (b *binder) bindPlan(pl *selectPlan) {
+	pl.driverFilters = b.bindAll(pl.driverFilters)
+	for i := range pl.joins {
+		st := &pl.joins[i]
+		st.pushed = b.bindAll(st.pushed)
+		st.after = b.bindAll(st.after)
+		st.probeKey = b.bindAll(st.probeKey)
+		st.buildKey = b.bindAll(st.buildKey)
+	}
+	pl.residual = b.bindAll(pl.residual)
+}

@@ -1,65 +1,24 @@
 package sqlang
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 
 	"genalg/internal/db"
 )
 
-// scope resolves column references during execution: a mapping from
-// qualified and unqualified column names to positions in the working row.
-type scope struct {
-	// cols[i] is the fully qualified name "table.col"; bare[i] the bare name.
-	cols []string
-	bare []string
-}
-
-func newScope() *scope { return &scope{} }
-
-func (s *scope) add(table string, schema db.Schema) {
-	for _, c := range schema.Columns {
-		s.cols = append(s.cols, table+"."+c.Name)
-		s.bare = append(s.bare, c.Name)
-	}
-}
-
-// resolve returns the row position of a column reference.
-func (s *scope) resolve(ref *ColRef) (int, error) {
-	if ref.Table != "" {
-		want := ref.Table + "." + ref.Name
-		for i, c := range s.cols {
-			if strings.EqualFold(c, want) {
-				return i, nil
-			}
-		}
-		return -1, fmt.Errorf("sqlang: unknown column %s", want)
-	}
-	found := -1
-	for i, b := range s.bare {
-		if strings.EqualFold(b, ref.Name) {
-			if found >= 0 {
-				return -1, fmt.Errorf("sqlang: ambiguous column %q (qualify with table name)", ref.Name)
-			}
-			found = i
-		}
-	}
-	if found < 0 {
-		return -1, fmt.Errorf("sqlang: unknown column %q", ref.Name)
-	}
-	return found, nil
-}
-
-// evalCtx carries what expression evaluation needs.
+// evalCtx carries what expression evaluation needs. Names are resolved
+// before evaluation (see bind.go).
 type evalCtx struct {
-	scope *scope
-	funcs *db.FuncRegistry
-	row   db.Row
+	row db.Row
 	// breakJoinKeys mirrors Engine.UnsafeBreakJoinKeys into join-key
 	// encoding (fault injection for the regression harness).
 	breakJoinKeys bool
+	// key is the statement's reused tuple-key buffer (join, GROUP BY and
+	// DISTINCT keys).
+	key []byte
 }
 
 // eval evaluates an expression against the current row. Aggregates are
@@ -68,12 +27,10 @@ func eval(ctx *evalCtx, e Expr) (any, error) {
 	switch x := e.(type) {
 	case *Lit:
 		return x.Val, nil
-	case *ColRef:
-		i, err := ctx.scope.resolve(x)
-		if err != nil {
-			return nil, err
-		}
-		return ctx.row[i], nil
+	case *boundCol:
+		return ctx.row[x.pos], nil
+	case *unbound:
+		return nil, x.err
 	case *UnOp:
 		v, err := eval(ctx, x.E)
 		if err != nil {
@@ -111,25 +68,18 @@ func eval(ctx *evalCtx, e Expr) (any, error) {
 		return isNull, nil
 	case *BinOp:
 		return evalBinOp(ctx, x)
-	case *FuncCall:
-		fn, ok := ctx.funcs.Get(x.Name)
-		if !ok {
-			return nil, fmt.Errorf("sqlang: unknown function %q (registered: %s)", x.Name, strings.Join(ctx.funcs.Names(), ", "))
-		}
-		if fn.NArgs > 0 && len(x.Args) != fn.NArgs {
-			return nil, fmt.Errorf("sqlang: function %s expects %d arguments, got %d", x.Name, fn.NArgs, len(x.Args))
-		}
-		args := make([]any, len(x.Args))
-		for i, a := range x.Args {
+	case *boundFunc:
+		args := make([]any, len(x.args))
+		for i, a := range x.args {
 			v, err := eval(ctx, a)
 			if err != nil {
 				return nil, err
 			}
 			args[i] = v
 		}
-		out, err := fn.Fn(args)
+		out, err := x.fn.Fn(args)
 		if err != nil {
-			return nil, fmt.Errorf("sqlang: %s: %w", x.Name, err)
+			return nil, fmt.Errorf("sqlang: %s: %w", x.src.Name, err)
 		}
 		return out, nil
 	case *Aggregate:
@@ -327,42 +277,67 @@ func joinKey(ctx *evalCtx, keys []Expr, buf []byte) ([]byte, bool, error) {
 		if v == nil {
 			return buf, false, nil
 		}
-		buf, err = appendJoinKeyVal(buf, v, ctx.breakJoinKeys)
-		if err != nil {
-			return buf, false, err
+		var ok bool
+		if buf, ok = appendKeyVal(buf, v, ctx.breakJoinKeys); !ok {
+			return buf, false, fmt.Errorf("sqlang: cannot compare %T in join key", v)
 		}
 	}
 	return buf, true, nil
 }
 
-// appendJoinKeyVal encodes one scalar into a hash-join key. The encoding
-// must equate exactly the value pairs compareVals calls equal: integral
-// floats within the exact-int64 window (±2^53) key as integers so
-// int64/float64 mixes hash together. (An int64 beyond 2^53 joined against
-// its rounded float64 image is the one divergence from compareVals'
-// lossy float coercion; that coercion is itself the approximation.)
+// appendGroupKey appends one GROUP BY / DISTINCT tuple component to a key.
+// Opaque values (GDT values, byte strings) have no ordering, so they key
+// by their formatted form — GDT String methods include identity — under a
+// tag of their own, length-prefixed like strings.
+func appendGroupKey(b []byte, v any) []byte {
+	b, ok := appendKeyVal(b, v, false)
+	if !ok {
+		s := fmt.Sprint(v)
+		b = append(b, 'o')
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		b = append(b, s...)
+	}
+	return b
+}
+
+// appendKeyVal appends the typed, self-delimiting encoding of one scalar
+// to a tuple key: a tag byte, then a fixed-width or length-prefixed body,
+// so distinct tuples never share an encoding. ok=false reports a value of
+// no scalar type (nothing is appended).
+//
+// The encoding equates exactly the value pairs compareVals calls equal:
+// integral floats within the exact-int64 window (±2^53) key as integers
+// so int64/float64 mixes hash together. (An int64 beyond 2^53 joined
+// against its rounded float64 image is the one divergence from
+// compareVals' lossy float coercion; that coercion is itself the
+// approximation.)
 //
 // breakUnify (Engine.UnsafeBreakJoinKeys) deliberately skips the
 // int/float unification — the seeded executor bug the regression
 // harness's differential fuzzer proves it can catch.
-func appendJoinKeyVal(b []byte, v any, breakUnify bool) ([]byte, error) {
+func appendKeyVal(b []byte, v any, breakUnify bool) ([]byte, bool) {
 	const exactInt = 1 << 53
 	switch x := v.(type) {
+	case nil:
+		b = append(b, 'n')
 	case int64:
 		b = append(b, 'i')
-		b = strconv.AppendInt(b, x, 10)
+		b = binary.BigEndian.AppendUint64(b, uint64(x))
 	case float64:
-		if !breakUnify && x == math.Trunc(x) && x >= -exactInt && x <= exactInt {
+		switch {
+		case !breakUnify && x == math.Trunc(x) && x >= -exactInt && x <= exactInt:
 			b = append(b, 'i')
-			b = strconv.AppendInt(b, int64(x), 10)
-		} else {
+			b = binary.BigEndian.AppendUint64(b, uint64(int64(x)))
+		case x != x:
 			b = append(b, 'f')
-			b = strconv.AppendFloat(b, x, 'b', -1, 64)
+			b = binary.BigEndian.AppendUint64(b, math.Float64bits(math.NaN()))
+		default:
+			b = append(b, 'f')
+			b = binary.BigEndian.AppendUint64(b, math.Float64bits(x))
 		}
 	case string:
 		b = append(b, 's')
-		b = strconv.AppendInt(b, int64(len(x)), 10)
-		b = append(b, ':')
+		b = binary.AppendUvarint(b, uint64(len(x)))
 		b = append(b, x...)
 	case bool:
 		if x {
@@ -371,7 +346,7 @@ func appendJoinKeyVal(b []byte, v any, breakUnify bool) ([]byte, error) {
 			b = append(b, 'F')
 		}
 	default:
-		return b, fmt.Errorf("sqlang: cannot compare %T in join key", v)
+		return b, false
 	}
-	return b, nil
+	return b, true
 }

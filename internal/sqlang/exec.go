@@ -208,7 +208,13 @@ func (e *Engine) execUpdate(s *UpdateStmt) (*Result, error) {
 	}
 	sc := newScope()
 	sc.add(s.Table, schema)
-	ctx := &evalCtx{scope: sc, funcs: e.DB.Funcs}
+	b := newBinder(sc, e.DB.Funcs)
+	where := b.bind(s.Where)
+	sets := make([]Expr, len(s.Sets))
+	for i, set := range s.Sets {
+		sets[i] = b.bind(set.Expr)
+	}
+	ctx := &evalCtx{}
 	// Collect matching rows first: updating while scanning would revisit
 	// moved rows.
 	type pending struct {
@@ -218,9 +224,9 @@ func (e *Engine) execUpdate(s *UpdateStmt) (*Result, error) {
 	var targets []pending
 	var evalErr error
 	err := tbl.Scan(func(rid storage.RID, row db.Row) bool {
-		if s.Where != nil {
+		if where != nil {
 			ctx.row = row
-			v, err := eval(ctx, s.Where)
+			v, err := eval(ctx, where)
 			if err != nil {
 				evalErr = err
 				return false
@@ -246,8 +252,8 @@ func (e *Engine) execUpdate(s *UpdateStmt) (*Result, error) {
 		newRow := make(db.Row, len(t.row))
 		copy(newRow, t.row)
 		ctx.row = t.row // SET expressions see the pre-update values
-		for i, set := range s.Sets {
-			v, err := eval(ctx, set.Expr)
+		for i, set := range sets {
+			v, err := eval(ctx, set)
 			if err != nil {
 				return nil, err
 			}
@@ -286,7 +292,10 @@ func (e *Engine) execInsert(s *InsertStmt) (*Result, error) {
 			colPos = append(colPos, i)
 		}
 	}
-	ctx := &evalCtx{scope: newScope(), funcs: e.DB.Funcs}
+	// VALUES expressions bind against an empty scope: a column reference
+	// there fails as an unknown column when evaluated.
+	b := newBinder(newScope(), e.DB.Funcs)
+	ctx := &evalCtx{}
 	// Evaluate every VALUES row before inserting any, then apply the
 	// statement as one atomic batch: a bad row anywhere in the list leaves
 	// the table untouched.
@@ -297,7 +306,7 @@ func (e *Engine) execInsert(s *InsertStmt) (*Result, error) {
 		}
 		row := make(db.Row, len(schema.Columns))
 		for j, ex := range exprRow {
-			v, err := eval(ctx, ex)
+			v, err := eval(ctx, b.bind(ex))
 			if err != nil {
 				return nil, err
 			}
@@ -322,13 +331,14 @@ func (e *Engine) execDelete(s *DeleteStmt) (*Result, error) {
 	}
 	sc := newScope()
 	sc.add(s.Table, tbl.Schema())
-	ctx := &evalCtx{scope: sc, funcs: e.DB.Funcs}
+	where := newBinder(sc, e.DB.Funcs).bind(s.Where)
+	ctx := &evalCtx{}
 	var doomed []storage.RID
 	var evalErr error
 	err := tbl.Scan(func(rid storage.RID, row db.Row) bool {
-		if s.Where != nil {
+		if where != nil {
 			ctx.row = row
-			v, err := eval(ctx, s.Where)
+			v, err := eval(ctx, where)
 			if err != nil {
 				evalErr = err
 				return false
@@ -556,7 +566,11 @@ func (e *Engine) execSelect(qctx context.Context, s *SelectStmt) (*Result, error
 		return &Result{Cols: []string{"plan"}, Rows: []db.Row{{plan}}, Plan: plan}, nil
 	}
 
-	ctx := &evalCtx{scope: pl.sc, funcs: e.DB.Funcs, breakJoinKeys: e.UnsafeBreakJoinKeys}
+	// Bind once: every expression the executor evaluates from here on
+	// reads row positions and holds its external function.
+	b := newBinder(pl.sc, e.DB.Funcs)
+	b.bindPlan(pl)
+	ctx := &evalCtx{breakJoinKeys: e.UnsafeBreakJoinKeys}
 	working, err := e.runPlan(qctx, pl, ctx)
 	if err != nil {
 		return nil, err
@@ -566,6 +580,9 @@ func (e *Engine) execSelect(qctx context.Context, s *SelectStmt) (*Result, error
 	items, cols, err := e.expandItems(s, pl.sc, pl.tables[0].ref.EffectiveName())
 	if err != nil {
 		return nil, err
+	}
+	for i := range items {
+		items[i].Expr = b.bind(items[i].Expr)
 	}
 
 	// Aggregation?
@@ -581,7 +598,7 @@ func (e *Engine) execSelect(qctx context.Context, s *SelectStmt) (*Result, error
 		if pi.timed {
 			tAgg = time.Now()
 		}
-		out, err = e.aggregate(ctx, items, s.GroupBy, s.Having, working)
+		out, err = e.aggregate(ctx, items, b.bindAll(s.GroupBy), b.bind(s.Having), working)
 		if err != nil {
 			return nil, err
 		}
@@ -613,7 +630,11 @@ func (e *Engine) execSelect(qctx context.Context, s *SelectStmt) (*Result, error
 		if pi.timed {
 			tSort = time.Now()
 		}
-		if err := e.orderRows(ctx, s, items, cols, working, out, hasAgg); err != nil {
+		keys := make([]Expr, len(s.OrderBy))
+		for i, ok := range s.OrderBy {
+			keys[i] = b.bind(ok.Expr)
+		}
+		if err := e.orderRows(ctx, s, keys, items, cols, working, out, hasAgg); err != nil {
 			return nil, err
 		}
 		if pi.timed {
@@ -622,7 +643,7 @@ func (e *Engine) execSelect(qctx context.Context, s *SelectStmt) (*Result, error
 		}
 	}
 	if s.Distinct {
-		out = distinctRows(out)
+		out = distinctRows(ctx, out)
 	}
 	if s.Limit >= 0 && len(out) > s.Limit {
 		out = out[:s.Limit]
@@ -638,19 +659,18 @@ func (e *Engine) execSelect(qctx context.Context, s *SelectStmt) (*Result, error
 }
 
 // distinctRows removes duplicate output tuples, keeping first occurrences.
-// Values are keyed by their formatted form (opaque GDT values format via
-// their String methods, which include identity).
-func distinctRows(rows []db.Row) []db.Row {
+// Rows key by their typed tuple encoding (appendGroupKey).
+func distinctRows(ctx *evalCtx, rows []db.Row) []db.Row {
 	seen := map[string]bool{}
 	out := rows[:0]
 	for _, row := range rows {
-		var kb strings.Builder
+		kb := ctx.key[:0]
 		for _, v := range row {
-			fmt.Fprintf(&kb, "%v|", v)
+			kb = appendGroupKey(kb, v)
 		}
-		k := kb.String()
-		if !seen[k] {
-			seen[k] = true
+		ctx.key = kb
+		if !seen[string(kb)] {
+			seen[string(kb)] = true
 			out = append(out, row)
 		}
 	}
@@ -720,7 +740,9 @@ func (e *Engine) expandItems(s *SelectStmt, sc *scope, driveName string) ([]Sele
 	return items, cols, nil
 }
 
-func (e *Engine) orderRows(ctx *evalCtx, s *SelectStmt, items []SelectItem, cols []string, working, out []db.Row, hasAgg bool) error {
+// orderRows sorts the output rows by the ORDER BY keys; keys holds the
+// bound key expressions, evaluated when a key names no output column.
+func (e *Engine) orderRows(ctx *evalCtx, s *SelectStmt, keys []Expr, items []SelectItem, cols []string, working, out []db.Row, hasAgg bool) error {
 	type keyed struct {
 		keys []any
 		row  db.Row
@@ -760,7 +782,7 @@ func (e *Engine) orderRows(ctx *evalCtx, s *SelectStmt, items []SelectItem, cols
 				return fmt.Errorf("sqlang: ORDER BY key %s must reference an output column under aggregation", ok.Expr)
 			}
 			ctx.row = working[i]
-			v, err := eval(ctx, ok.Expr)
+			v, err := eval(ctx, keys[ki])
 			if err != nil {
 				return err
 			}
@@ -808,39 +830,36 @@ func (e *Engine) orderRows(ctx *evalCtx, s *SelectStmt, items []SelectItem, cols
 // and computes aggregate select items.
 func (e *Engine) aggregate(ctx *evalCtx, items []SelectItem, groupBy []Expr, having Expr, working []db.Row) ([]db.Row, error) {
 	type group struct {
-		keyVals []any
-		rows    []db.Row
+		rows []db.Row
 	}
 	groups := map[string]*group{}
-	var order []string
+	var order []*group
 	for _, row := range working {
 		ctx.row = row
-		keyVals := make([]any, len(groupBy))
-		var kb strings.Builder
-		for i, g := range groupBy {
-			v, err := eval(ctx, g)
+		kb := ctx.key[:0]
+		for _, gx := range groupBy {
+			v, err := eval(ctx, gx)
 			if err != nil {
 				return nil, err
 			}
-			keyVals[i] = v
-			fmt.Fprintf(&kb, "%v|", v)
+			kb = appendGroupKey(kb, v)
 		}
-		k := kb.String()
-		if groups[k] == nil {
-			groups[k] = &group{keyVals: keyVals}
-			order = append(order, k)
+		ctx.key = kb
+		g := groups[string(kb)]
+		if g == nil {
+			g = &group{}
+			groups[string(kb)] = g
+			order = append(order, g)
 		}
-		groups[k].rows = append(groups[k].rows, row)
+		g.rows = append(g.rows, row)
 	}
 	if len(groupBy) == 0 && len(groups) == 0 {
 		// Aggregates over an empty set produce one row.
-		groups[""] = &group{}
-		order = append(order, "")
+		order = append(order, &group{})
 	}
 
 	var out []db.Row
-	for _, k := range order {
-		g := groups[k]
+	for _, g := range order {
 		if having != nil {
 			rewritten, err := e.rewriteAggregates(ctx, having, g.rows)
 			if err != nil {

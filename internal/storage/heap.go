@@ -275,27 +275,36 @@ func (h *HeapFile) ScanPageRange(lo, hi int, fn func(rid RID, rec []byte) bool) 
 	if lo >= hi {
 		return nil
 	}
+	// framedRec locates one live record's framed bytes in its page's copy.
+	type framedRec struct {
+		slot int
+		lo   int
+	}
+	var frames []framedRec
 	for _, id := range h.dataPages[lo:hi] {
 		pg, err := h.pool.Pin(id)
 		if err != nil {
 			return err
 		}
-		type framedRec struct {
-			slot int
-			data []byte
-		}
-		var frames []framedRec
+		// One copy per page: the live records land back to back in a
+		// single buffer and are handed out as cap-limited sub-slices, so a
+		// caller appending to one record cannot write into the next.
+		frames = frames[:0]
+		buf := make([]byte, 0, PageSize)
 		pg.LiveRecords(func(slot int, raw []byte) bool {
-			cp := make([]byte, len(raw))
-			copy(cp, raw)
-			frames = append(frames, framedRec{slot, cp})
+			frames = append(frames, framedRec{slot: slot, lo: len(buf)})
+			buf = append(buf, raw...)
 			return true
 		})
 		if err := h.pool.Unpin(id, false); err != nil {
 			return err
 		}
-		for _, fr := range frames {
-			rec, err := h.unframe(fr.data)
+		for i, fr := range frames {
+			end := len(buf)
+			if i+1 < len(frames) {
+				end = frames[i+1].lo
+			}
+			rec, err := h.unframe(buf[fr.lo:end:end])
 			if err != nil {
 				return err
 			}

@@ -525,3 +525,54 @@ func BenchmarkHeapScan(b *testing.B) {
 		h.Scan(func(RID, []byte) bool { n++; return true })
 	}
 }
+
+// TestScanPageRangeRecordsDoNotAlias checks the per-page record copy:
+// records handed out from one page share a buffer but are cap-limited, so
+// appending to record k leaves record k+1 intact, and every record's bytes
+// equal what Get returns.
+func TestScanPageRangeRecordsDoNotAlias(t *testing.T) {
+	h := newTestHeap(t, 8)
+	var rids []RID
+	for i := 0; i < 40; i++ {
+		rid, err := h.Insert(bytes.Repeat([]byte{byte('a' + i%26)}, 10+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	if h.NumPages() != 1 {
+		t.Fatalf("want the records on one page, got %d pages", h.NumPages())
+	}
+	// A deleted slot in the middle must not shift its neighbours.
+	if err := h.Delete(rids[5]); err != nil {
+		t.Fatal(err)
+	}
+	var got [][]byte
+	var gotRIDs []RID
+	if err := h.ScanPageRange(0, 1, func(rid RID, rec []byte) bool {
+		got = append(got, rec)
+		gotRIDs = append(gotRIDs, rid)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 39 {
+		t.Fatalf("scanned %d records, want 39", len(got))
+	}
+	for k := range got {
+		if k+1 < len(got) {
+			next := append([]byte(nil), got[k+1]...)
+			_ = append(got[k], 'X', 'Y', 'Z')
+			if !bytes.Equal(got[k+1], next) {
+				t.Fatalf("appending to record %d changed record %d: %q, was %q", k, k+1, got[k+1], next)
+			}
+		}
+		want, err := h.Get(gotRIDs[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[k], want) {
+			t.Fatalf("record %v: scan gave %q, Get gives %q", gotRIDs[k], got[k], want)
+		}
+	}
+}
