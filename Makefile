@@ -112,9 +112,11 @@ smoke-genalgd:
 smoke-loadgen:
 	./scripts/smoke_loadgen.sh
 
-# fuzz-short runs the sources parser fuzzer briefly (CI budget).
+# fuzz-short runs the sources parser fuzzer and the row decoder's
+# column-map fuzzer briefly (CI budget).
 fuzz-short:
 	$(GO) test ./internal/sources -run='^$$' -fuzz=FuzzParseFormats -fuzztime=10s
+	$(GO) test ./internal/db -run='^$$' -fuzz='^FuzzDecodeRow$$' -fuzztime=10s
 
 # fuzz-sql-short runs the SQL parser fuzzer briefly (CI budget). Seeds
 # come from the regression corpus; the target also checks the

@@ -729,7 +729,7 @@ func BenchmarkA1OpaqueVsDecomposed(b *testing.B) {
 			// Reassemble per record (chunks arrive in heap order; order by
 			// chunkno), then test the pattern across chunk boundaries.
 			parts := map[string][]string{}
-			err := tbl.Scan(func(_ storage.RID, row db.Row) bool {
+			err := tbl.Scan(nil, func(_ storage.RID, row db.Row) bool {
 				id := row[0].(string)
 				cn := int(row[1].(int64))
 				p := parts[id]

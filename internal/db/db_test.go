@@ -1,6 +1,7 @@
 package db
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -167,7 +168,7 @@ func TestDeleteUpdateScan(t *testing.T) {
 		t.Errorf("updated row = %v", row)
 	}
 	n := 0
-	if err := tbl.Scan(func(rid storage.RID, row Row) bool { n++; return true }); err != nil {
+	if err := tbl.Scan(nil, func(rid storage.RID, row Row) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 49 {
@@ -374,7 +375,7 @@ func TestRowCodecProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := DecodeRow(&schema, d.UDTs, buf)
+		got, err := DecodeRow(&schema, d.UDTs, buf, nil)
 		if err != nil {
 			return false
 		}
@@ -403,14 +404,38 @@ func TestDecodeRowRejectsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cut := range []int{0, 1, 3, len(buf) / 2, len(buf) - 1} {
-		if _, err := DecodeRow(&schema, d.UDTs, buf[:cut]); err == nil {
+		_, err := DecodeRow(&schema, d.UDTs, buf[:cut], nil)
+		if err == nil {
 			t.Errorf("truncation at %d accepted", cut)
+			continue
+		}
+		// Skipped columns are still bounds-checked: every map reports
+		// the same truncation.
+		for _, cols := range [][]int{{-1, -1, -1, -1}, {0, -1, -1, -1}, {-1, -1, 1, 0}} {
+			if _, merr := DecodeRow(&schema, d.UDTs, buf[:cut], cols); merr == nil || merr.Error() != err.Error() {
+				t.Errorf("truncation at %d under map %v: %v, want %v", cut, cols, merr, err)
+			}
 		}
 	}
-	// Wrong schema arity.
+	// Wrong schema arity, and a map of the wrong length.
 	short := Schema{Table: "t", Columns: schema.Columns[:2]}
-	if _, err := DecodeRow(&short, d.UDTs, buf); err == nil {
+	if _, err := DecodeRow(&short, d.UDTs, buf, nil); err == nil {
 		t.Error("arity mismatch accepted")
+	}
+	if _, err := DecodeRow(&schema, d.UDTs, buf, []int{0, 1}); err == nil {
+		t.Error("short column map accepted")
+	}
+	if _, err := DecodeRow(&schema, d.UDTs, buf, []int{0, 1, 2, 4}); err == nil {
+		t.Error("column map position past the schema accepted")
+	}
+	// A length prefix past the int range, and a row cut right after a
+	// bool's null flag, fail rather than panic.
+	huge := append(binary.AppendUvarint([]byte{1, 0}, 1<<63|5), "abcde"...)
+	if _, err := DecodeRow(&Schema{Table: "t", Columns: []Column{{Name: "s", Type: TString}}}, d.UDTs, huge, nil); err == nil {
+		t.Error("overflowing length prefix accepted")
+	}
+	if _, err := DecodeRow(&Schema{Table: "t", Columns: []Column{{Name: "b", Type: TBool}}}, d.UDTs, []byte{1, 0}, nil); err == nil {
+		t.Error("bool cut after its null flag accepted")
 	}
 }
 
@@ -482,7 +507,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 	}()
 	for i := 0; i < 50; i++ {
 		n := 0
-		if err := tbl.Scan(func(rid storage.RID, row Row) bool { n++; return true }); err != nil {
+		if err := tbl.Scan(nil, func(rid storage.RID, row Row) bool { n++; return true }); err != nil {
 			t.Fatal(err)
 		}
 		if n < 100 {
@@ -542,7 +567,7 @@ func BenchmarkScan10k(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		tbl.Scan(func(rid storage.RID, row Row) bool { n++; return true })
+		tbl.Scan(nil, func(rid storage.RID, row Row) bool { n++; return true })
 	}
 }
 

@@ -71,7 +71,7 @@ func (t *Table) prepareDML(muts []Mutation) (*preparedDML, error) {
 			if err != nil {
 				return nil, err
 			}
-			row, err := DecodeRow(&t.schema, t.reg, raw)
+			row, err := DecodeRow(&t.schema, t.reg, raw, nil)
 			if err != nil {
 				return nil, err
 			}

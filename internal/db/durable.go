@@ -209,7 +209,7 @@ func (d *DB) replayRecord(rec wal.Record, idx map[string]map[string][]storage.RI
 		if !ok {
 			return fmt.Errorf("insert into unknown table")
 		}
-		row, err := DecodeRow(&tbl.schema, tbl.reg, rec.Data)
+		row, err := DecodeRow(&tbl.schema, tbl.reg, rec.Data, nil)
 		if err != nil {
 			return err
 		}

@@ -49,7 +49,7 @@ func fragRows(t *testing.T, d *DB) map[int64]string {
 		t.Fatal("frags table missing")
 	}
 	out := map[int64]string{}
-	err := tbl.Scan(func(_ storage.RID, row Row) bool {
+	err := tbl.Scan(nil, func(_ storage.RID, row Row) bool {
 		out[row[0].(int64)] = row[1].(string)
 		return true
 	})
@@ -94,7 +94,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	// UPDATE row 3 (delete+insert batch) and DELETE row 7.
 	tbl, _ := d.Table("frags")
 	var rid3, rid7 storage.RID
-	err := tbl.Scan(func(rid storage.RID, row Row) bool {
+	err := tbl.Scan(nil, func(rid storage.RID, row Row) bool {
 		switch row[0].(int64) {
 		case 3:
 			rid3 = rid
@@ -277,7 +277,7 @@ func TestCheckpointCompactsAndRecovers(t *testing.T) {
 		insertFrag(t, d, i, "bulk")
 	}
 	tbl, _ := d.Table("frags")
-	err := tbl.Scan(func(rid storage.RID, row Row) bool {
+	err := tbl.Scan(nil, func(rid storage.RID, row Row) bool {
 		if row[0].(int64) == 0 {
 			rid0 = rid
 			return false

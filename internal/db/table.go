@@ -108,21 +108,23 @@ func (t *Table) indexRowLocked(rid storage.RID, row Row, add bool) error {
 				return err
 			}
 		} else {
-			ix.Remove(kmeridx.DocID(ridToU64(rid)))
+			ix.Remove(kmeridx.DocID(ridToU64(rid)), s)
 		}
 	}
 	return nil
 }
 
-// Get fetches the row at rid.
-func (t *Table) Get(rid storage.RID) (Row, error) {
+// Get fetches the row at rid, decoding the columns the column map cols
+// keeps (see DecodeRow). Omitted or nil, cols keeps the whole row, so
+// Get(rid) is the full decode.
+func (t *Table) Get(rid storage.RID, cols ...int) (Row, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	buf, err := t.heap.Get(rid)
 	if err != nil {
 		return nil, err
 	}
-	return DecodeRow(&t.schema, t.reg, buf)
+	return DecodeRow(&t.schema, t.reg, buf, cols)
 }
 
 // Delete removes the row at rid and de-indexes it.
@@ -141,7 +143,7 @@ func (t *Table) deleteLocked(rid storage.RID) ([]byte, Row, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	row, err := DecodeRow(&t.schema, t.reg, buf)
+	row, err := DecodeRow(&t.schema, t.reg, buf, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -163,14 +165,15 @@ func (t *Table) Update(rid storage.RID, row Row) (storage.RID, error) {
 	return t.Insert(row)
 }
 
-// Scan calls fn for every live row. Returning false stops the scan. The
-// row is freshly decoded per call and may be retained.
-func (t *Table) Scan(fn func(rid storage.RID, row Row) bool) error {
+// Scan calls fn for every live row, decoded under the column map cols
+// (see DecodeRow; nil is the whole row). Returning false stops the scan.
+// The row is freshly decoded per call and may be retained.
+func (t *Table) Scan(cols []int, fn func(rid storage.RID, row Row) bool) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var derr error
 	err := t.heap.Scan(func(rid storage.RID, rec []byte) bool {
-		row, err := DecodeRow(&t.schema, t.reg, rec)
+		row, err := DecodeRow(&t.schema, t.reg, rec, cols)
 		if err != nil {
 			derr = err
 			return false
@@ -184,13 +187,14 @@ func (t *Table) Scan(fn func(rid storage.RID, row Row) bool) error {
 }
 
 // ScanShard scans the shard-th of shards contiguous page ranges of the
-// heap, calling fn for every live row in that range in heap order. Shards
+// heap, calling fn for every live row in that range in heap order,
+// decoded under the column map cols as in Scan. Shards
 // partition the table: running every shard and concatenating the results
 // in shard order visits exactly the rows of Scan, in the same order.
 // Multiple ScanShard calls may run concurrently (each takes the reader
 // lock); this is the partition primitive behind the query engine's
 // parallel table scans.
-func (t *Table) ScanShard(shard, shards int, fn func(rid storage.RID, row Row) bool) error {
+func (t *Table) ScanShard(shard, shards int, cols []int, fn func(rid storage.RID, row Row) bool) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	spans := parallel.Chunks(t.heap.NumPages(), shards)
@@ -200,7 +204,7 @@ func (t *Table) ScanShard(shard, shards int, fn func(rid storage.RID, row Row) b
 	sp := spans[shard]
 	var derr error
 	err := t.heap.ScanPageRange(sp.Lo, sp.Hi, func(rid storage.RID, rec []byte) bool {
-		row, err := DecodeRow(&t.schema, t.reg, rec)
+		row, err := DecodeRow(&t.schema, t.reg, rec, cols)
 		if err != nil {
 			derr = err
 			return false
@@ -232,7 +236,7 @@ func (t *Table) CreateBTreeIndex(col string) error {
 	tree := btree.New()
 	var backErr error
 	err := t.heap.Scan(func(rid storage.RID, rec []byte) bool {
-		row, err := DecodeRow(&t.schema, t.reg, rec)
+		row, err := DecodeRow(&t.schema, t.reg, rec, nil)
 		if err != nil {
 			backErr = err
 			return false
@@ -284,7 +288,7 @@ func (t *Table) CreateGenomicIndex(col string, k int) error {
 	var docs []kmeridx.Doc
 	var backErr error
 	err = t.heap.Scan(func(rid storage.RID, rec []byte) bool {
-		row, err := DecodeRow(&t.schema, t.reg, rec)
+		row, err := DecodeRow(&t.schema, t.reg, rec, nil)
 		if err != nil {
 			backErr = err
 			return false
@@ -397,12 +401,18 @@ func (t *Table) GenomicLookupCtx(ctx context.Context, col, pattern string) ([]st
 	}
 	ci := t.schema.ColIndex(col)
 	udt, _ := t.reg.Get(t.schema.Columns[ci].UDTName)
+	// Verification decodes only the indexed column, into position 0.
+	only := make([]int, len(t.schema.Columns))
+	for i := range only {
+		only[i] = -1
+	}
+	only[ci] = 0
 	docs, err := ix.Lookup(ctx, pattern, func(doc kmeridx.DocID) (seq.NucSeq, error) {
-		row, err := t.Get(u64ToRID(uint64(doc)))
+		row, err := t.Get(u64ToRID(uint64(doc)), only...)
 		if err != nil {
 			return seq.NucSeq{}, err
 		}
-		got, ok := udt.ExtractSeq(row[ci])
+		got, ok := udt.ExtractSeq(row[0])
 		if !ok {
 			return seq.NucSeq{}, fmt.Errorf("db: row %d has no extractable sequence", doc)
 		}
@@ -459,7 +469,7 @@ func (t *Table) Vacuum() error {
 		if err != nil {
 			return err
 		}
-		row, err := DecodeRow(&t.schema, t.reg, r.buf)
+		row, err := DecodeRow(&t.schema, t.reg, r.buf, nil)
 		if err != nil {
 			return err
 		}

@@ -191,20 +191,42 @@ func EncodeRow(s *Schema, reg *UDTRegistry, row Row) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeRow deserializes a row.
-func DecodeRow(s *Schema, reg *UDTRegistry, buf []byte) (Row, error) {
+// DecodeRow deserializes a row. cols is the column map: for each schema
+// column, its position in the returned row (below the column count), or a
+// negative value to skip it. The returned row is as wide as the largest
+// kept position plus one; a map that keeps nothing yields an empty row. A
+// nil map keeps every column in schema order, so DecodeRow(s, reg, buf,
+// nil) is the whole row.
+//
+// A skipped column is stepped over by its fixed width or length prefix:
+// it is never boxed, copied or unpacked, but its bounds are still checked,
+// so a truncated row fails with the same error under any map.
+func DecodeRow(s *Schema, reg *UDTRegistry, buf []byte, cols []int) (Row, error) {
 	n, off := binary.Uvarint(buf)
 	if off <= 0 {
 		return nil, fmt.Errorf("db: truncated row header")
 	}
-	if int(n) != len(s.Columns) {
+	if n != uint64(len(s.Columns)) {
 		return nil, fmt.Errorf("db: row has %d columns, schema %s has %d", n, s.Table, len(s.Columns))
 	}
+	width := len(s.Columns)
+	if cols != nil {
+		if len(cols) != len(s.Columns) {
+			return nil, fmt.Errorf("db: column map has %d entries, schema %s has %d columns", len(cols), s.Table, len(s.Columns))
+		}
+		width = 0
+		for _, p := range cols {
+			if p >= len(cols) {
+				return nil, fmt.Errorf("db: column map position %d out of range for schema %s", p, s.Table)
+			}
+			width = max(width, p+1)
+		}
+	}
 	pos := off
-	row := make(Row, n)
+	row := make(Row, width)
 	readLen := func() (int, error) {
 		l, m := binary.Uvarint(buf[pos:])
-		if m <= 0 || pos+m+int(l) > len(buf) {
+		if m <= 0 || l > uint64(len(buf)-pos-m) {
 			return 0, fmt.Errorf("db: truncated length at offset %d", pos)
 		}
 		pos += m
@@ -214,10 +236,13 @@ func DecodeRow(s *Schema, reg *UDTRegistry, buf []byte) (Row, error) {
 		if pos >= len(buf) {
 			return nil, fmt.Errorf("db: truncated row at column %s", c.Name)
 		}
+		out := i
+		if cols != nil {
+			out = cols[i]
+		}
 		isNull := buf[pos] == 1
 		pos++
 		if isNull {
-			row[i] = nil
 			continue
 		}
 		switch c.Type {
@@ -227,47 +252,62 @@ func DecodeRow(s *Schema, reg *UDTRegistry, buf []byte) (Row, error) {
 				return nil, fmt.Errorf("db: truncated int at column %s", c.Name)
 			}
 			pos += m
-			row[i] = v
+			if out >= 0 {
+				row[out] = v
+			}
 		case TFloat:
 			if pos+8 > len(buf) {
 				return nil, fmt.Errorf("db: truncated float at column %s", c.Name)
 			}
-			row[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[pos:]))
+			if out >= 0 {
+				row[out] = math.Float64frombits(binary.LittleEndian.Uint64(buf[pos:]))
+			}
 			pos += 8
 		case TString:
 			l, err := readLen()
 			if err != nil {
 				return nil, err
 			}
-			row[i] = string(buf[pos : pos+l])
+			if out >= 0 {
+				row[out] = string(buf[pos : pos+l])
+			}
 			pos += l
 		case TBool:
-			row[i] = buf[pos] == 1
+			if pos >= len(buf) {
+				return nil, fmt.Errorf("db: truncated bool at column %s", c.Name)
+			}
+			if out >= 0 {
+				row[out] = buf[pos] == 1
+			}
 			pos++
 		case TBytes:
 			l, err := readLen()
 			if err != nil {
 				return nil, err
 			}
-			b := make([]byte, l)
-			copy(b, buf[pos:pos+l])
-			row[i] = b
+			if out >= 0 {
+				b := make([]byte, l)
+				copy(b, buf[pos:pos+l])
+				row[out] = b
+			}
 			pos += l
 		case TOpaque:
 			l, err := readLen()
 			if err != nil {
 				return nil, err
 			}
-			udt, ok := reg.Get(c.UDTName)
-			if !ok {
-				return nil, fmt.Errorf("db: column %s references unknown UDT %q", c.Name, c.UDTName)
-			}
-			v, err := udt.Unpack(buf[pos : pos+l])
-			if err != nil {
-				return nil, fmt.Errorf("db: unpacking %s value for column %s: %w", c.UDTName, c.Name, err)
+			if out >= 0 {
+				udt, ok := reg.Get(c.UDTName)
+				if !ok {
+					return nil, fmt.Errorf("db: column %s references unknown UDT %q", c.Name, c.UDTName)
+				}
+				v, err := udt.Unpack(buf[pos : pos+l])
+				if err != nil {
+					return nil, fmt.Errorf("db: unpacking %s value for column %s: %w", c.UDTName, c.Name, err)
+				}
+				row[out] = v
 			}
 			pos += l
-			row[i] = v
 		}
 	}
 	return row, nil

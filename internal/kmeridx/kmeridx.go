@@ -168,15 +168,24 @@ func (ix *Index) AddAll(ctx context.Context, docs []Doc, workers int) (err error
 	return nil
 }
 
-// Remove drops a document from the index.
-func (ix *Index) Remove(doc DocID) {
+// Remove drops a document from the index. s must be the sequence the
+// document was added with: only the posting lists of its distinct k-mers
+// are visited, so the cost is proportional to the document, not to the
+// index. Removing a document that is not indexed is a no-op.
+func (ix *Index) Remove(doc DocID, s seq.NucSeq) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if _, exists := ix.docLens[doc]; !exists {
 		return
 	}
 	delete(ix.docLens, doc)
-	for km, ps := range ix.postings {
+	seen := make(map[seq.Kmer]bool, s.Len())
+	seq.EachKmer(s, ix.k, func(_ int, km seq.Kmer) bool {
+		if seen[km] {
+			return true // a repeated k-mer: its list is already clean
+		}
+		seen[km] = true
+		ps := ix.postings[km]
 		kept := ps[:0]
 		for _, p := range ps {
 			if p.doc != doc {
@@ -188,7 +197,8 @@ func (ix *Index) Remove(doc DocID) {
 		} else {
 			ix.postings[km] = kept
 		}
-	}
+		return true
+	})
 }
 
 // Docs returns the number of indexed documents.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -193,7 +194,7 @@ func TestRemove(t *testing.T) {
 	if err != nil || len(got) == 0 {
 		t.Fatalf("pre-remove lookup = %v, %v", got, err)
 	}
-	ix.Remove(target)
+	ix.Remove(target, docs[target])
 	if ix.Docs() != 9 {
 		t.Errorf("Docs after remove = %d", ix.Docs())
 	}
@@ -207,7 +208,151 @@ func TestRemove(t *testing.T) {
 		}
 	}
 	// Removing a non-existent doc is a no-op.
-	ix.Remove(DocID(999))
+	ix.Remove(DocID(999), docs[0])
+	if ix.Docs() != 9 {
+		t.Errorf("Docs after removing an unindexed doc = %d", ix.Docs())
+	}
+}
+
+// removeFullWalk is the pre-sequence Remove: it drops doc from every
+// posting list in the index. It is the reference the per-document Remove
+// is checked against.
+func removeFullWalk(ix *Index, doc DocID) {
+	if _, exists := ix.docLens[doc]; !exists {
+		return
+	}
+	delete(ix.docLens, doc)
+	for km, ps := range ix.postings {
+		kept := ps[:0]
+		for _, p := range ps {
+			if p.doc != doc {
+				kept = append(kept, p)
+			}
+		}
+		if len(kept) == 0 {
+			delete(ix.postings, km)
+		} else {
+			ix.postings[km] = kept
+		}
+	}
+}
+
+// repetitiveDNA builds a sequence out of a few short motifs, so the same
+// k-mer recurs within a document and across documents.
+func repetitiveDNA(r *rand.Rand, n int) seq.NucSeq {
+	motifs := []string{"ACGTACGTAC", "GGGGCCCC", "ATATATATAT", "TTGACA"}
+	var sb strings.Builder
+	for sb.Len() < n {
+		if r.Intn(4) == 0 {
+			sb.WriteByte("ACGT"[r.Intn(4)])
+			continue
+		}
+		sb.WriteString(motifs[r.Intn(len(motifs))])
+	}
+	s, err := seq.NewNucSeq(seq.AlphaDNA, sb.String()[:n])
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// TestRemoveMatchesFullWalkAndRebuild interleaves Adds and Removes of
+// documents with repeated k-mers and checks the per-document Remove
+// against the full walk (identical posting lists) and against an index
+// built fresh from the surviving documents (identical Candidates and
+// Lookup answers).
+func TestRemoveMatchesFullWalkAndRebuild(t *testing.T) {
+	const k = 6
+	r := rand.New(rand.NewSource(11))
+	ix, _ := New(k)
+	ref, _ := New(k)
+	docs := map[DocID]seq.NucSeq{}
+	var live []DocID // in insertion order
+	next := DocID(0)
+	for step := 0; step < 400; step++ {
+		if len(live) == 0 || r.Intn(3) > 0 {
+			s := repetitiveDNA(r, 20+r.Intn(120))
+			docs[next] = s
+			if err := ix.Add(next, s); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.Add(next, s); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, next)
+			next++
+			continue
+		}
+		i := r.Intn(len(live))
+		doc := live[i]
+		live = append(live[:i], live[i+1:]...)
+		ix.Remove(doc, docs[doc])
+		removeFullWalk(ref, doc)
+		// Removing it again, or a doc never added, changes nothing.
+		ix.Remove(doc, docs[doc])
+		ix.Remove(next+1000, docs[doc])
+	}
+	if !reflect.DeepEqual(ix.postings, ref.postings) || !reflect.DeepEqual(ix.docLens, ref.docLens) {
+		t.Fatal("per-document Remove left different postings than the full walk")
+	}
+
+	fresh, _ := New(k)
+	for _, d := range live {
+		if err := fresh.Add(d, docs[d]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fetch := func(d DocID) (seq.NucSeq, error) { return docs[d], nil }
+	pats := []string{"ACGTACGTAC", "GGGGCCCC", "ATATAT", "TTGACAACGT", "CCCCTTGACA", "GACATATA"}
+	for _, d := range live[:min(len(live), 20)] {
+		s := docs[d]
+		if s.Len() >= 12 {
+			pats = append(pats, s.Slice(2, 12).String())
+		}
+	}
+	for _, p := range pats {
+		got, err := ix.Candidates(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := fresh.Candidates(p)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Candidates(%s) = %v, rebuilt index gives %v", p, got, want)
+		}
+		got, err = ix.Lookup(context.Background(), p, fetch, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ = fresh.Lookup(context.Background(), p, fetch, 1)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Lookup(%s) = %v, rebuilt index gives %v", p, got, want)
+		}
+	}
+}
+
+// TestRemoveVisitsOnlyTheDocumentsKmers plants a posting for a document
+// under a k-mer its sequence lacks: Remove must leave that list alone,
+// which shows it walks only the lists of the sequence's own k-mers.
+func TestRemoveVisitsOnlyTheDocumentsKmers(t *testing.T) {
+	ix, _ := New(4)
+	s, _ := seq.NewNucSeq(seq.AlphaDNA, "AAAAAA")
+	other, _ := seq.NewNucSeq(seq.AlphaDNA, "CCCCGG")
+	if err := ix.Add(1, s); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Add(2, other); err != nil {
+		t.Fatal(err)
+	}
+	foreign, _ := seq.KmerAt(other, 0, 4)
+	ix.postings[foreign] = append(ix.postings[foreign], posting{doc: 1, pos: 0})
+	ix.Remove(1, s)
+	aaaa, _ := seq.KmerAt(s, 0, 4)
+	if _, ok := ix.postings[aaaa]; ok {
+		t.Error("the document's own k-mer list survived Remove")
+	}
+	if ps := ix.postings[foreign]; len(ps) != 2 || ps[1].doc != 1 {
+		t.Errorf("Remove visited a list outside the document's k-mers: %v", ps)
+	}
 }
 
 func TestSeedHits(t *testing.T) {

@@ -89,8 +89,9 @@ func (s *rowSlab) next() db.Row {
 	return r
 }
 
-// runPlan executes a planned SELECT and returns the working rows (full
-// declared-width tuples) feeding projection/aggregation. Execution is
+// runPlan executes a planned SELECT and returns the working rows (narrowed
+// tuples, see selectPlan.narrow) feeding projection/aggregation. Every
+// table access decodes under its slot's column map. Execution is
 // batch-at-a-time: the driving table's access path produces rowBatches that
 // flow through driver filters, join steps, and residual filters, with
 // planInfo counters and timers updated once per batch instead of once per
@@ -183,9 +184,8 @@ func (e *Engine) runPlan(qctx context.Context, pl *selectPlan, ectx *evalCtx) ([
 		return processBatch(batch)
 	}
 
-	// widen places a driving-table row into its segment of a full-width
-	// working row cut from a slab; single-table queries use scanned rows
-	// directly.
+	// widen places a driving-table row into its segment of a working row
+	// cut from a slab; single-table queries use scanned rows directly.
 	wide := newRowSlab(pl.width, bs)
 	widen := func(row db.Row) db.Row {
 		if !multi {
@@ -204,7 +204,7 @@ func (e *Engine) runPlan(qctx context.Context, pl *selectPlan, ectx *evalCtx) ([
 			if pi.timed {
 				t0 = time.Now()
 			}
-			row, err := driver.tbl.Get(rid)
+			row, err := driver.tbl.Get(rid, driver.cols...)
 			if err != nil {
 				return nil, err
 			}
@@ -277,7 +277,7 @@ func (e *Engine) runPlan(qctx context.Context, pl *selectPlan, ectx *evalCtx) ([
 			if pi.timed {
 				tShard = time.Now()
 			}
-			err := driver.tbl.ScanShard(part, w, func(_ storage.RID, row db.Row) bool {
+			err := driver.tbl.ScanShard(part, w, driver.cols, func(_ storage.RID, row db.Row) bool {
 				localScanned++
 				buf = append(buf, row)
 				if len(buf) >= bs {
@@ -326,7 +326,7 @@ func (e *Engine) runPlan(qctx context.Context, pl *selectPlan, ectx *evalCtx) ([
 			tScan = time.Now()
 		}
 		batch := make([]db.Row, 0, bs)
-		err := driver.tbl.Scan(func(_ storage.RID, row db.Row) bool {
+		err := driver.tbl.Scan(driver.cols, func(_ storage.RID, row db.Row) bool {
 			batch = append(batch, widen(row))
 			if len(batch) >= bs {
 				if err := flush(batch); err != nil {
@@ -408,7 +408,7 @@ func (e *Engine) joinBatch(qctx context.Context, pl *selectPlan, js *joinState, 
 		// probe row, exactly as the pre-cost-model executor did.
 		var out []db.Row
 		for _, prow := range batch {
-			err := sl.tbl.Scan(func(_ storage.RID, brow db.Row) bool {
+			err := sl.tbl.Scan(sl.cols, func(_ storage.RID, brow db.Row) bool {
 				out = append(out, merged(prow, brow))
 				return true
 			})
@@ -472,7 +472,7 @@ func (e *Engine) buildJoin(qctx context.Context, pl *selectPlan, js *joinState, 
 	bs := e.batchSize()
 	n := 0
 	var innerErr error
-	err := sl.tbl.Scan(func(_ storage.RID, row db.Row) bool {
+	err := sl.tbl.Scan(sl.cols, func(_ storage.RID, row db.Row) bool {
 		n++
 		if n%bs == 0 && qctx.Err() != nil {
 			innerErr = qctx.Err()

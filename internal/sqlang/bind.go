@@ -93,9 +93,14 @@ func (u *unbound) String() string { return u.src.String() }
 // (the consumed access-path conjunct, hash-join key pairs) compares source
 // nodes and never sees a bound one; nothing after binding compares nodes
 // by identity, so no original→bound map is kept.
+//
+// The binder records every column it resolves: those are exactly the
+// columns the statement reads, and selectPlan.narrow decodes only them.
 type binder struct {
 	sc    *scope
 	funcs *db.FuncRegistry
+	// cols holds every boundCol produced, each exactly once.
+	cols []*boundCol
 }
 
 func newBinder(sc *scope, funcs *db.FuncRegistry) *binder {
@@ -110,7 +115,9 @@ func (b *binder) bind(x Expr) Expr {
 		if err != nil {
 			return &unbound{src: p, err: err}
 		}
-		return &boundCol{src: p, pos: i}
+		c := &boundCol{src: p, pos: i}
+		b.cols = append(b.cols, c)
+		return c
 	case *FuncCall:
 		fn, ok := b.funcs.Get(p.Name)
 		switch {
@@ -158,4 +165,39 @@ func (b *binder) bindPlan(pl *selectPlan) {
 		st.buildKey = b.bindAll(st.buildKey)
 	}
 	pl.residual = b.bindAll(pl.residual)
+}
+
+// narrow shrinks the working row to the columns the bound expressions cols
+// read. Each table slot gets its column map (schema column → position in
+// the slot's segment, -1 when unread) and its segment shrinks to the kept
+// columns, in declared order; the bound positions are renumbered to match.
+// The boundCols are the binder's fresh copies, so the parsed AST is never
+// written. A slot whose columns are all unread contributes zero-width
+// rows.
+func (pl *selectPlan) narrow(cols []*boundCol) {
+	read := make([]bool, pl.width)
+	for _, c := range cols {
+		read[c.pos] = true
+	}
+	renum := make([]int, pl.width)
+	width := 0
+	for si := range pl.tables {
+		sl := &pl.tables[si]
+		sl.cols = make([]int, sl.width)
+		kept := 0
+		for i := range sl.cols {
+			sl.cols[i] = -1
+			if read[sl.offset+i] {
+				sl.cols[i] = kept
+				renum[sl.offset+i] = width + kept
+				kept++
+			}
+		}
+		sl.offset, sl.width = width, kept
+		width += kept
+	}
+	pl.width = width
+	for _, c := range cols {
+		c.pos = renum[c.pos]
+	}
 }

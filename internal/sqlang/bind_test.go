@@ -87,47 +87,63 @@ func setupJoinFixture(t testing.TB, e *Engine) {
 
 // TestSharedStmtConcurrentExec executes one parsed statement (join, UDF
 // filter, GROUP BY) from several goroutines at once, as genalgd's prepared
-// statements do. Binding must never write into the shared AST: under -race
-// any such write is reported, and every result must equal a serial run.
+// statements do. Binding and narrowing must never write into the shared
+// AST: under -race any such write is reported, and every result must equal
+// a serial run. The second statement narrows frags to its join key, so it
+// must never unpack a fragment.
 func TestSharedStmtConcurrentExec(t *testing.T) {
 	e := testEngine(t)
 	setupJoinFixture(t, e)
-	const sql = `SELECT grps.label, COUNT(*), AVG(gccontent(frags.fragment)) FROM frags ` +
-		`JOIN reads ON frags.id = reads.frag_id JOIN grps ON reads.grp = grps.grp ` +
-		`WHERE gccontent(frags.fragment) > 0.5 GROUP BY grps.label HAVING COUNT(*) > 1 ORDER BY grps.label`
-	stmt, err := Parse(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pristine, _ := Parse(sql)
-	want, err := e.ExecStmtSQLCtx(context.Background(), stmt, sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Rows) == 0 {
-		t.Fatal("fixture query returned no groups")
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 5; i++ {
-				got, err := e.ExecStmtSQLCtx(context.Background(), stmt, sql)
-				if err != nil {
-					t.Error(err)
-					return
+	unpacks := countUnpacks(t, e)
+	for _, c := range []struct {
+		sql     string
+		unpacks bool
+	}{
+		{`SELECT grps.label, COUNT(*), AVG(gccontent(frags.fragment)) FROM frags ` +
+			`JOIN reads ON frags.id = reads.frag_id JOIN grps ON reads.grp = grps.grp ` +
+			`WHERE gccontent(frags.fragment) > 0.5 GROUP BY grps.label HAVING COUNT(*) > 1 ORDER BY grps.label`, true},
+		{`SELECT reads.rid, grps.label FROM frags JOIN reads ON frags.id = reads.frag_id ` +
+			`JOIN grps ON reads.grp = grps.grp WHERE reads.rid < 200 ORDER BY reads.rid`, false},
+	} {
+		sql := c.sql
+		stmt, err := Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pristine, _ := Parse(sql)
+		unpacks.Store(0)
+		want, err := e.ExecStmtSQLCtx(context.Background(), stmt, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Rows) == 0 {
+			t.Fatalf("%s: fixture query returned no rows", sql)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 5; i++ {
+					got, err := e.ExecStmtSQLCtx(context.Background(), stmt, sql)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !reflect.DeepEqual(want.Rows, got.Rows) || want.Plan != got.Plan {
+						t.Errorf("concurrent execution diverged:\n%v\nwant\n%v", got.Rows, want.Rows)
+						return
+					}
 				}
-				if !reflect.DeepEqual(want.Rows, got.Rows) || want.Plan != got.Plan {
-					t.Errorf("concurrent execution diverged:\n%v\nwant\n%v", got.Rows, want.Rows)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if !reflect.DeepEqual(stmt, pristine) {
-		t.Error("executing the statement modified its parsed AST")
+			}()
+		}
+		wg.Wait()
+		if !reflect.DeepEqual(stmt, pristine) {
+			t.Errorf("%s: executing the statement modified its parsed AST", sql)
+		}
+		if got := unpacks.Load(); (got > 0) != c.unpacks {
+			t.Errorf("%s: %d fragment unpacks", sql, got)
+		}
 	}
 }
 

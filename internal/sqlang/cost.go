@@ -55,12 +55,17 @@ func (e *Engine) indexSeekCost() float64 {
 // tableSlot binds one FROM/JOIN table to its column segment in the working
 // row. The working-row layout always follows the declared table order, so
 // scope resolution and output columns are independent of the join order the
-// planner picks.
+// planner picks. Planning sees every column; selectPlan.narrow then shrinks
+// each segment to the columns the statement reads.
 type tableSlot struct {
 	ref    TableRef
 	tbl    *db.Table
 	offset int // first column position in the working row
 	width  int // number of columns this table contributes
+	// cols is the column map every access to the table decodes under
+	// (see db.DecodeRow): schema column → position in the segment, -1
+	// when the statement never reads it. Set by narrow.
+	cols []int
 }
 
 // planAlt is one plan alternative the planner costed and rejected; EXPLAIN

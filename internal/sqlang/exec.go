@@ -223,7 +223,7 @@ func (e *Engine) execUpdate(s *UpdateStmt) (*Result, error) {
 	}
 	var targets []pending
 	var evalErr error
-	err := tbl.Scan(func(rid storage.RID, row db.Row) bool {
+	err := tbl.Scan(nil, func(rid storage.RID, row db.Row) bool {
 		if where != nil {
 			ctx.row = row
 			v, err := eval(ctx, where)
@@ -335,7 +335,7 @@ func (e *Engine) execDelete(s *DeleteStmt) (*Result, error) {
 	ctx := &evalCtx{}
 	var doomed []storage.RID
 	var evalErr error
-	err := tbl.Scan(func(rid storage.RID, row db.Row) bool {
+	err := tbl.Scan(nil, func(rid storage.RID, row db.Row) bool {
 		if where != nil {
 			ctx.row = row
 			v, err := eval(ctx, where)
@@ -566,23 +566,27 @@ func (e *Engine) execSelect(qctx context.Context, s *SelectStmt) (*Result, error
 		return &Result{Cols: []string{"plan"}, Rows: []db.Row{{plan}}, Plan: plan}, nil
 	}
 
-	// Bind once: every expression the executor evaluates from here on
-	// reads row positions and holds its external function.
+	// Bind once, before execution: every expression the executor evaluates
+	// reads row positions and holds its external function. The columns the
+	// binder resolved are all the statement reads, so every table access
+	// then decodes only those, into narrow working rows.
 	b := newBinder(pl.sc, e.DB.Funcs)
 	b.bindPlan(pl)
+	items, cols := expandItems(s, pl.sc)
+	for i := range items {
+		items[i].Expr = b.bind(items[i].Expr)
+	}
+	groupBy, having := b.bindAll(s.GroupBy), b.bind(s.Having)
+	orderKeys := make([]Expr, len(s.OrderBy))
+	for i, ok := range s.OrderBy {
+		orderKeys[i] = b.bind(ok.Expr)
+	}
+	pl.narrow(b.cols)
+
 	ctx := &evalCtx{breakJoinKeys: e.UnsafeBreakJoinKeys}
 	working, err := e.runPlan(qctx, pl, ctx)
 	if err != nil {
 		return nil, err
-	}
-
-	// Expand SELECT * and name outputs.
-	items, cols, err := e.expandItems(s, pl.sc, pl.tables[0].ref.EffectiveName())
-	if err != nil {
-		return nil, err
-	}
-	for i := range items {
-		items[i].Expr = b.bind(items[i].Expr)
 	}
 
 	// Aggregation?
@@ -598,7 +602,7 @@ func (e *Engine) execSelect(qctx context.Context, s *SelectStmt) (*Result, error
 		if pi.timed {
 			tAgg = time.Now()
 		}
-		out, err = e.aggregate(ctx, items, b.bindAll(s.GroupBy), b.bind(s.Having), working)
+		out, err = e.aggregate(ctx, items, groupBy, having, working)
 		if err != nil {
 			return nil, err
 		}
@@ -630,11 +634,7 @@ func (e *Engine) execSelect(qctx context.Context, s *SelectStmt) (*Result, error
 		if pi.timed {
 			tSort = time.Now()
 		}
-		keys := make([]Expr, len(s.OrderBy))
-		for i, ok := range s.OrderBy {
-			keys[i] = b.bind(ok.Expr)
-		}
-		if err := e.orderRows(ctx, s, keys, items, cols, working, out, hasAgg); err != nil {
+		if err := e.orderRows(ctx, s, orderKeys, items, cols, working, out, hasAgg); err != nil {
 			return nil, err
 		}
 		if pi.timed {
@@ -715,7 +715,7 @@ func (e *Engine) rewriteAggregates(ctx *evalCtx, x Expr, rows []db.Row) (Expr, e
 }
 
 // expandItems resolves SELECT * and computes output column names.
-func (e *Engine) expandItems(s *SelectStmt, sc *scope, driveName string) ([]SelectItem, []string, error) {
+func expandItems(s *SelectStmt, sc *scope) ([]SelectItem, []string) {
 	var items []SelectItem
 	var cols []string
 	for _, it := range s.Items {
@@ -737,7 +737,7 @@ func (e *Engine) expandItems(s *SelectStmt, sc *scope, driveName string) ([]Sele
 			cols = append(cols, it.Expr.String())
 		}
 	}
-	return items, cols, nil
+	return items, cols
 }
 
 // orderRows sorts the output rows by the ORDER BY keys; keys holds the

@@ -100,7 +100,7 @@ func NewGenerator(d *db.DB, seed int64) (*Generator, error) {
 		for i := range seen {
 			seen[i] = map[string]bool{}
 		}
-		err := tbl.Scan(func(_ storage.RID, row db.Row) bool {
+		err := tbl.Scan(nil, func(_ storage.RID, row db.Row) bool {
 			scanned++
 			for i := range ti.cols {
 				v := row[i]

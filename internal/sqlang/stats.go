@@ -69,7 +69,7 @@ func (e *Engine) execAnalyze(s *AnalyzeStmt) (*Result, error) {
 		accs[c.Name] = &colAcc{distinct: map[string]struct{}{}}
 	}
 	rows := 0
-	err := tbl.Scan(func(_ storage.RID, row db.Row) bool {
+	err := tbl.Scan(nil, func(_ storage.RID, row db.Row) bool {
 		rows++
 		for _, ci := range scalarCols {
 			acc := accs[schema.Columns[ci].Name]

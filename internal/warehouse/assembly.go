@@ -81,7 +81,7 @@ func (w *Warehouse) AssembleGenomes(genesPerChromosome int) (AssemblyStats, erro
 	}
 	genesTbl, _ := w.DB.Table(TableGenes)
 	byOrganism := map[string][]gdt.Gene{}
-	err := genesTbl.Scan(func(_ storage.RID, row db.Row) bool {
+	err := genesTbl.Scan(nil, func(_ storage.RID, row db.Row) bool {
 		g := row[8].(gdt.Gene)
 		org := row[1].(string)
 		byOrganism[org] = append(byOrganism[org], g)
@@ -94,7 +94,7 @@ func (w *Warehouse) AssembleGenomes(genesPerChromosome int) (AssemblyStats, erro
 	for _, tname := range []string{TableChromosomes, TableGenomes} {
 		tbl, _ := w.DB.Table(tname)
 		var rids []storage.RID
-		if err := tbl.Scan(func(rid storage.RID, _ db.Row) bool {
+		if err := tbl.Scan(nil, func(rid storage.RID, _ db.Row) bool {
 			rids = append(rids, rid)
 			return true
 		}); err != nil {

@@ -63,7 +63,7 @@ func (w *Warehouse) Quarantined() ([]QuarantinedRecord, error) {
 		return nil, fmt.Errorf("warehouse: quarantine table missing")
 	}
 	var out []QuarantinedRecord
-	err := tbl.Scan(func(rid storage.RID, row db.Row) bool {
+	err := tbl.Scan(nil, func(rid storage.RID, row db.Row) bool {
 		out = append(out, QuarantinedRecord{
 			ID: row[0].(string), Source: row[1].(string), Stage: row[2].(string),
 			Reason: row[3].(string), Payload: row[4].(string), Tick: row[5].(int64),

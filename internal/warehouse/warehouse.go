@@ -399,7 +399,7 @@ func (w *Warehouse) ArchiveSource(source string, tick int64) (int, error) {
 			payload []byte
 		}
 		var rows []pendingRow
-		scanErr := tbl.Scan(func(rid storage.RID, row db.Row) bool {
+		scanErr := tbl.Scan(nil, func(rid storage.RID, row db.Row) bool {
 			src, _ := row[3].(string)
 			if !strings.Contains("+"+src+"+", "+"+source+"+") {
 				return true
@@ -428,7 +428,7 @@ func (w *Warehouse) RestoreFromArchive(source string) ([]gdt.Value, error) {
 	arch, _ := w.DB.Table(TableArchive)
 	var out []gdt.Value
 	var innerErr error
-	err := arch.Scan(func(rid storage.RID, row db.Row) bool {
+	err := arch.Scan(nil, func(rid storage.RID, row db.Row) bool {
 		if row[1] != source {
 			return true
 		}
