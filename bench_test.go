@@ -956,45 +956,31 @@ func e16DB(b *testing.B) *db.DB {
 	return d
 }
 
-// BenchmarkE16 measures the cost-based planner + batched executor against
-// the pre-optimizer baseline (DisableCBO + BatchSize=1: declared join
-// order, per-row nested-loop rescans, row-at-a-time filters). The
-// join-heavy aggregate is the headline (≥2× is the acceptance bar; the
-// hash join alone removes the O(probe×build) rescan); the indexed point
-// lookup is the no-regression control. Workers are pinned to 1 so the
-// delta isolates planning + batching from scan parallelism. Both engines
-// return identical results (see TestLegacyExecutorMatchesCBO).
+// BenchmarkE16 times the planner and batched executor on a join-heavy
+// aggregate and an indexed point lookup, with Workers pinned to 1 so
+// scan parallelism stays out of the figure. It is the in-process fixture
+// for profiling both statement shapes.
 func BenchmarkE16(b *testing.B) {
 	d := e16DB(b)
-	legacy := sqlang.NewEngine(d)
-	legacy.DisableCBO = true
-	legacy.BatchSize = 1
-	legacy.Workers = 1
-	cbo := sqlang.NewEngine(d)
-	cbo.Workers = 1
-	if _, err := cbo.Exec(`ANALYZE genes`); err != nil {
+	e := sqlang.NewEngine(d)
+	e.Workers = 1
+	if _, err := e.Exec(`ANALYZE genes`); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := cbo.Exec(`ANALYZE frags`); err != nil {
+	if _, err := e.Exec(`ANALYZE frags`); err != nil {
 		b.Fatal(err)
 	}
 	queries := []struct{ name, sql string }{
 		{"join-agg", `SELECT genes.organism, COUNT(*) AS n FROM frags JOIN genes ON frags.gene = genes.gid WHERE frags.quality >= 0.5 GROUP BY genes.organism ORDER BY n DESC, genes.organism`},
 		{"point-lookup", `SELECT quality FROM frags WHERE id = 'F2345'`},
 	}
-	engines := []struct {
-		name string
-		e    *sqlang.Engine
-	}{{"legacy", legacy}, {"cbo-batch", cbo}}
 	for _, q := range queries {
-		for _, eng := range engines {
-			b.Run(q.name+"/"+eng.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := eng.e.Exec(q.sql); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(q.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Exec(q.sql); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

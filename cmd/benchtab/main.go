@@ -7,11 +7,11 @@
 //
 // Usage:
 //
-//	benchtab [-only table1|fig2|e1|e2|e3|e4|e11|e12|e16] [-bench-json DIR]
+//	benchtab [-only table1|fig2|e1|e2|e3|e4|e11|e12] [-bench-json DIR]
 //
 // With -bench-json DIR, the measured experiments additionally write
 // machine-readable BENCH_<experiment>.json snapshots into DIR (currently
-// e12 and e16), so the repository can track the perf trajectory in files
+// e12), so the repository can track the perf trajectory in files
 // rather than only in EXPERIMENTS.md prose.
 package main
 
@@ -37,7 +37,7 @@ import (
 )
 
 func main() {
-	only := flag.String("only", "", "run a single experiment: table1, fig2, e1, e2, e3, e4, e11, e12, e16")
+	only := flag.String("only", "", "run a single experiment: table1, fig2, e1, e2, e3, e4, e11, e12")
 	flag.BoolVar(&quick, "quick", false, "shrink fixtures for CI smoke runs")
 	flag.StringVar(&benchJSONDir, "bench-json", "", "write BENCH_<experiment>.json snapshots into this directory")
 	metrics := flag.Bool("metrics", false, "dump the metrics registry after the experiments")
@@ -71,7 +71,6 @@ func main() {
 	run("e4", e4IndexVsScan)
 	run("e11", e11EntityMatching)
 	run("e12", e12ParallelSpeedup)
-	run("e16", e16CostBasedExecution)
 	if *metrics {
 		fmt.Println("==== metrics ====")
 		if err := obs.Default.WriteText(os.Stdout); err != nil {

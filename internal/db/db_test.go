@@ -395,6 +395,25 @@ func TestRowCodecProperty(t *testing.T) {
 	}
 }
 
+// TestKeepColumns: a KeepColumns map decodes the kept columns in the
+// order named, and one that keeps nothing decodes an empty row.
+func TestKeepColumns(t *testing.T) {
+	d := testDB(t)
+	schema := fragmentsSchema()
+	buf, err := EncodeRow(&schema, d.UDTs, Row{"f1", "genbank", 0.5, gdt.DNA{Seq: randDNA(1, 40)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeRow(&schema, d.UDTs, buf, KeepColumns(4, 2, 0))
+	if err != nil || len(got) != 2 || got[0] != 0.5 || got[1] != "f1" {
+		t.Fatalf("keep (quality, id) = %v, %v", got, err)
+	}
+	got, err = DecodeRow(&schema, d.UDTs, buf, KeepColumns(4))
+	if err != nil || len(got) != 0 {
+		t.Fatalf("keep nothing = %v, %v", got, err)
+	}
+}
+
 func TestDecodeRowRejectsCorrupt(t *testing.T) {
 	d := testDB(t)
 	schema := fragmentsSchema()

@@ -234,14 +234,15 @@ func (t *Table) CreateBTreeIndex(col string) error {
 		return fmt.Errorf("db: index on %s.%s already exists", t.schema.Table, col)
 	}
 	tree := btree.New()
+	only := KeepColumns(len(t.schema.Columns), ci)
 	var backErr error
 	err := t.heap.Scan(func(rid storage.RID, rec []byte) bool {
-		row, err := DecodeRow(&t.schema, t.reg, rec, nil)
+		row, err := DecodeRow(&t.schema, t.reg, rec, only)
 		if err != nil {
 			backErr = err
 			return false
 		}
-		key, err := IndexKey(ct, row[ci])
+		key, err := IndexKey(ct, row[0])
 		if err != nil {
 			backErr = err
 			return false
@@ -286,17 +287,18 @@ func (t *Table) CreateGenomicIndex(col string, k int) error {
 	// Collect the sequences serially (decode shares the heap scan), then
 	// hand the batch to the index's sharded parallel build.
 	var docs []kmeridx.Doc
+	only := KeepColumns(len(t.schema.Columns), ci)
 	var backErr error
 	err = t.heap.Scan(func(rid storage.RID, rec []byte) bool {
-		row, err := DecodeRow(&t.schema, t.reg, rec, nil)
+		row, err := DecodeRow(&t.schema, t.reg, rec, only)
 		if err != nil {
 			backErr = err
 			return false
 		}
-		if row[ci] == nil {
+		if row[0] == nil {
 			return true
 		}
-		if s, ok := udt.ExtractSeq(row[ci]); ok {
+		if s, ok := udt.ExtractSeq(row[0]); ok {
 			docs = append(docs, kmeridx.Doc{ID: kmeridx.DocID(ridToU64(rid)), Seq: s})
 		}
 		return true
@@ -402,11 +404,7 @@ func (t *Table) GenomicLookupCtx(ctx context.Context, col, pattern string) ([]st
 	ci := t.schema.ColIndex(col)
 	udt, _ := t.reg.Get(t.schema.Columns[ci].UDTName)
 	// Verification decodes only the indexed column, into position 0.
-	only := make([]int, len(t.schema.Columns))
-	for i := range only {
-		only[i] = -1
-	}
-	only[ci] = 0
+	only := KeepColumns(len(t.schema.Columns), ci)
 	docs, err := ix.Lookup(ctx, pattern, func(doc kmeridx.DocID) (seq.NucSeq, error) {
 		row, err := t.Get(u64ToRID(uint64(doc)), only...)
 		if err != nil {

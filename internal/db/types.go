@@ -90,6 +90,21 @@ func (s *Schema) ColIndex(name string) int {
 	return -1
 }
 
+// KeepColumns builds a DecodeRow column map for a schema of ncols columns
+// that keeps the schema columns keep, in that order, at positions 0, 1,
+// ... and skips the rest. With no keep it keeps nothing, for scans that
+// only want RIDs.
+func KeepColumns(ncols int, keep ...int) []int {
+	cols := make([]int, ncols)
+	for i := range cols {
+		cols[i] = -1
+	}
+	for pos, ci := range keep {
+		cols[ci] = pos
+	}
+	return cols
+}
+
 // Row is a tuple of values parallel to the schema columns. nil means NULL.
 // Value representations: TInt -> int64, TFloat -> float64, TString ->
 // string, TBool -> bool, TBytes -> []byte, TOpaque -> the UDT's Go value.

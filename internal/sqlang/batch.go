@@ -2,8 +2,6 @@ package sqlang
 
 import (
 	"context"
-	"os"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -30,16 +28,10 @@ func (e *Engine) batchSize() int {
 
 // parScanMinRows resolves the driving-table row count above which a
 // single-table filter scan is partitioned across workers: the Engine knob,
-// then the GENALG_PARSCAN_MINROWS environment variable, then the built-in
-// default.
+// then the built-in default.
 func (e *Engine) parScanMinRows() int {
 	if e.ParallelScanMinRows > 0 {
 		return e.ParallelScanMinRows
-	}
-	if v := os.Getenv("GENALG_PARSCAN_MINROWS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
 	}
 	return parallelScanThreshold
 }
@@ -402,21 +394,6 @@ func (e *Engine) joinBatch(qctx context.Context, pl *selectPlan, js *joinState, 
 		copy(m, prow)
 		copy(m[sl.offset:], brow)
 		return m
-	}
-	if st.rescan {
-		// Legacy nested loop (DisableCBO): re-scan the build table per
-		// probe row, exactly as the pre-cost-model executor did.
-		var out []db.Row
-		for _, prow := range batch {
-			err := sl.tbl.Scan(sl.cols, func(_ storage.RID, brow db.Row) bool {
-				out = append(out, merged(prow, brow))
-				return true
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
 	}
 	if !js.built {
 		if err := e.buildJoin(qctx, pl, js, ectx); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -30,6 +31,9 @@ func TestBatchedMatchesRowAtATime(t *testing.T) {
 		`SELECT parent.organism, child.cid FROM child JOIN parent ON child.fk = parent.id WHERE child.score < 0.7`,
 		`SELECT parent.organism, COUNT(*) AS n FROM child JOIN parent ON child.fk = parent.id GROUP BY parent.organism ORDER BY n DESC`,
 		`SELECT child.cid FROM child, parent WHERE child.fk = parent.id AND child.score > 0.3 AND parent.organism = 'org1'`,
+		`SELECT parent.organism, child.cid FROM child JOIN parent ON child.fk = parent.id ORDER BY child.cid`,
+		`SELECT parent.organism, COUNT(*) AS n FROM child JOIN parent ON child.fk = parent.id WHERE child.score < 0.5 GROUP BY parent.organism ORDER BY n DESC, parent.organism`,
+		`SELECT COUNT(*) FROM child, parent WHERE child.fk = parent.id AND parent.organism = 'org0'`,
 	}
 	build := func(batchSize int) *Engine {
 		e := testEngine(t)
@@ -56,26 +60,71 @@ func TestBatchedMatchesRowAtATime(t *testing.T) {
 }
 
 // TestLegacyExecutorMatchesCBO: on order-insensitive queries (ORDER BY or
-// aggregation), the cost-based batched path and the pre-cost-model
-// heuristic path must agree — reordered joins change row production order,
-// never the result set.
+// aggregation), the cost-based planner's reordered joins must return the
+// result set a fixed-order nested loop over the generated rows produces —
+// reordered joins change row production order, never the result set. The
+// heuristic planner that used to serve as the reference is gone, so the
+// expected rows are computed here straight from setupJoinTables' data; each
+// query also runs with its FROM order swapped, batched and at BatchSize=1.
 func TestLegacyExecutorMatchesCBO(t *testing.T) {
-	queries := []string{
-		`SELECT parent.organism, child.cid FROM child JOIN parent ON child.fk = parent.id ORDER BY child.cid`,
-		`SELECT parent.organism, COUNT(*) AS n FROM child JOIN parent ON child.fk = parent.id WHERE child.score < 0.5 GROUP BY parent.organism ORDER BY n DESC, parent.organism`,
-		`SELECT COUNT(*) FROM child, parent WHERE child.fk = parent.id AND parent.organism = 'org0'`,
+	const nParents, nChildren = 6, 90
+	organism := func(p int) string { return fmt.Sprintf("org%d", p%3) }
+	score := func(c int) float64 { return float64(c%100) / 100 }
+
+	var joined []db.Row
+	counts := map[string]int64{}
+	var org0 int64
+	for c := 0; c < nChildren; c++ {
+		org := organism(c % nParents)
+		joined = append(joined, db.Row{org, fmt.Sprintf("C%04d", c)})
+		if score(c) < 0.5 {
+			counts[org]++
+		}
+		if org == "org0" {
+			org0++
+		}
 	}
-	legacy := testEngine(t)
-	legacy.DisableCBO = true
-	legacy.BatchSize = 1
-	setupJoinTables(t, legacy, 6, 90)
-	cbo := testEngine(t)
-	setupJoinTables(t, cbo, 6, 90)
-	for _, q := range queries {
-		want := mustExec(t, legacy, q)
-		got := mustExec(t, cbo, q)
-		if !reflect.DeepEqual(want.Rows, got.Rows) {
-			t.Fatalf("%q: cost-based rows differ from legacy executor", q)
+	var grouped []db.Row
+	for org, n := range counts {
+		grouped = append(grouped, db.Row{org, n})
+	}
+	sort.Slice(grouped, func(i, j int) bool {
+		ni, nj := grouped[i][1].(int64), grouped[j][1].(int64)
+		if ni != nj {
+			return ni > nj
+		}
+		return grouped[i][0].(string) < grouped[j][0].(string)
+	})
+
+	cases := []struct {
+		queries []string
+		want    []db.Row
+	}{
+		{[]string{
+			`SELECT parent.organism, child.cid FROM child JOIN parent ON child.fk = parent.id ORDER BY child.cid`,
+			`SELECT parent.organism, child.cid FROM parent JOIN child ON child.fk = parent.id ORDER BY child.cid`,
+		}, joined},
+		{[]string{
+			`SELECT parent.organism, COUNT(*) AS n FROM child JOIN parent ON child.fk = parent.id WHERE child.score < 0.5 GROUP BY parent.organism ORDER BY n DESC, parent.organism`,
+			`SELECT parent.organism, COUNT(*) AS n FROM parent JOIN child ON child.fk = parent.id WHERE child.score < 0.5 GROUP BY parent.organism ORDER BY n DESC, parent.organism`,
+		}, grouped},
+		{[]string{
+			`SELECT COUNT(*) FROM child, parent WHERE child.fk = parent.id AND parent.organism = 'org0'`,
+			`SELECT COUNT(*) FROM parent, child WHERE child.fk = parent.id AND parent.organism = 'org0'`,
+		}, []db.Row{{org0}}},
+	}
+	for _, batchSize := range []int{0, 1} {
+		e := testEngine(t)
+		e.BatchSize = batchSize
+		setupJoinTables(t, e, nParents, nChildren)
+		for _, c := range cases {
+			for _, q := range c.queries {
+				got := mustExec(t, e, q)
+				if !reflect.DeepEqual(c.want, got.Rows) {
+					t.Fatalf("BatchSize=%d %q: cost-based rows differ from the nested-loop reference:\n got  %v\n want %v",
+						batchSize, q, got.Rows, c.want)
+				}
+			}
 		}
 	}
 }

@@ -80,12 +80,8 @@ type planAlt struct {
 type joinStep struct {
 	slot int
 	// hash selects a hash join on the equi-key expressions below; false
-	// is a nested loop over the materialized (or, under rescan, re-scanned)
-	// build table.
+	// is a nested loop over the materialized build table.
 	hash bool
-	// rescan re-scans the build table per probe row — the pre-cost-model
-	// executor's behavior, kept for the DisableCBO baseline.
-	rescan bool
 	// probeKey/buildKey are the equi-join key expressions: probeKey reads
 	// already-joined columns, buildKey reads the new table's columns.
 	probeKey []Expr
@@ -346,7 +342,7 @@ func bestAccess(cands []accessCand) (best accessCand, rest []accessCand) {
 
 // materializeAccess executes the chosen candidate's index lookup. ok=false
 // reports a genomic pattern shorter than the index word: the caller falls
-// back to the scan candidate, mirroring the pre-cost-model planner.
+// back to the scan candidate.
 func (e *Engine) materializeAccess(ctx context.Context, slot tableSlot, cand accessCand) (accessPath, bool, error) {
 	switch cand.kind {
 	case candScan:
@@ -393,8 +389,7 @@ func (e *Engine) keyDistinct(sc *scope, slots []tableSlot, x Expr) int {
 
 // eqJoinSelectivity estimates one equi-key's selectivity: 1/max(d_left,
 // d_right) when ANALYZE distinct counts exist on either side (the standard
-// System R formula), else the static default. This replaces the raw
-// cross-product estimate the heuristic planner used.
+// System R formula), else the static default.
 func (e *Engine) eqJoinSelectivity(sc *scope, slots []tableSlot, probe, build Expr) float64 {
 	d := e.keyDistinct(sc, slots, probe)
 	if bd := e.keyDistinct(sc, slots, build); bd > d {
@@ -496,9 +491,7 @@ func (e *Engine) costJoinStep(pl *selectPlan, preds []*plannedPred, set uint64, 
 // planSelect builds the cost-based plan for a SELECT: bind tables, choose
 // the driving table's access path by estimated cost, order the joins
 // greedily by estimated cardinality, pick hash joins for equi-predicates,
-// and record the rejected alternatives for EXPLAIN. With Engine.DisableCBO
-// it reproduces the pre-cost-model heuristic plan instead (declared order,
-// first-match access, nested loops, post-join filters).
+// and record the rejected alternatives for EXPLAIN.
 func (e *Engine) planSelect(qctx context.Context, s *SelectStmt, timed bool) (*selectPlan, error) {
 	pl := &selectPlan{stmt: s}
 	where := s.Where
@@ -534,10 +527,6 @@ func (e *Engine) planSelect(qctx context.Context, s *SelectStmt, timed bool) (*s
 	}
 	ordered := e.orderPredicates(conjuncts(where))
 	pl.pi = &planInfo{analyze: s.Analyze, timed: timed}
-
-	if e.DisableCBO {
-		return pl, e.planLegacy(qctx, pl, ordered)
-	}
 
 	preds := make([]*plannedPred, len(ordered))
 	for i, p := range ordered {
@@ -740,50 +729,11 @@ func (e *Engine) declaredOrderCost(pl *selectPlan, ordered []Expr) float64 {
 	return total
 }
 
-// planLegacy reproduces the pre-cost-model plan: declared first table
-// drives, first indexable conjunct wins, every other predicate is a
-// post-join residual filter, and joins are nested loops in declared order
-// that re-scan the inner table per probe row.
-func (e *Engine) planLegacy(qctx context.Context, pl *selectPlan, ordered []Expr) error {
-	drive := pl.tables[0]
-	path, err := e.chooseAccess(qctx, drive.tbl, drive.ref.EffectiveName(), pl.sc, ordered)
-	if err != nil {
-		return err
-	}
-	pl.access = path
-	pl.driver = 0
-	for _, p := range ordered {
-		if p != path.used {
-			pl.residual = append(pl.residual, p)
-		}
-	}
-	if len(pl.tables) == 1 {
-		// Single table: the filters run on rows as the scan produces them
-		// (exactly where the pre-batch executor ran them).
-		pl.driverFilters, pl.residual = pl.residual, nil
-	}
-	pl.pi.estAccess = e.accessEstimate(path, drive.tbl, drive.ref.Name)
-	est := float64(pl.pi.estAccess)
-	for si := 1; si < len(pl.tables); si++ {
-		est *= float64(pl.tables[si].tbl.RowCount())
-		pl.joins = append(pl.joins, joinStep{slot: si, rescan: true, est: est})
-	}
-	for _, p := range pl.residual {
-		s, _ := e.predicateStats(p)
-		est *= s
-	}
-	e.finishPlanInfo(pl, est)
-	return nil
-}
-
 // finishPlanInfo decides scan parallelism and copies the plan into the
 // rendering/accounting planInfo.
 func (e *Engine) finishPlanInfo(pl *selectPlan, finalEst float64) {
 	// A large unindexed single-table scan is partitioned across workers;
-	// results stay in heap order, identical to the serial scan. The row
-	// threshold is an Engine knob (ParallelScanMinRows / the
-	// GENALG_PARSCAN_MINROWS env var) so deployments can tune where fan-out
-	// overhead stops paying off.
+	// results stay in heap order, identical to the serial scan.
 	if scanWorkers := e.workerBound(); pl.access.rids == nil && len(pl.tables) == 1 &&
 		scanWorkers > 1 && pl.tables[pl.driver].tbl.RowCount() >= e.parScanMinRows() {
 		pl.parallel = scanWorkers
@@ -809,19 +759,16 @@ func (e *Engine) finishPlanInfo(pl *selectPlan, finalEst float64) {
 	}
 	addFilters(pl.residual)
 	pi.estFilter = int(finalEst + 0.5)
-	if !e.DisableCBO {
-		pi.costed = true
-		pi.planCost = pl.cost
-		var nHash int64
-		for _, st := range pl.joins {
-			if st.hash {
-				nHash++
-			}
+	pi.planCost = pl.cost
+	var nHash int64
+	for _, st := range pl.joins {
+		if st.hash {
+			nHash++
 		}
-		reg := e.registry()
-		reg.Counter("sqlang.plan.cbo").Inc()
-		if nHash > 0 {
-			reg.Counter("sqlang.plan.hash_joins").Add(nHash)
-		}
+	}
+	reg := e.registry()
+	reg.Counter("sqlang.plan.cbo").Inc()
+	if nHash > 0 {
+		reg.Counter("sqlang.plan.hash_joins").Add(nHash)
 	}
 }

@@ -144,10 +144,9 @@ func TestJoinEstConvergesAfterAnalyze(t *testing.T) {
 	}
 }
 
-// TestParallelScanMinRowsKnob covers the threshold knob and its env
-// override: small tables stay serial at the default, parallelize when the
-// knob (or GENALG_PARSCAN_MINROWS) drops below their size, and stay serial
-// when it is raised above a large table's size.
+// TestParallelScanMinRowsKnob covers the threshold knob: small tables stay
+// serial at the default, parallelize when the knob drops below their size,
+// and stay serial when it is raised above a large table's size.
 func TestParallelScanMinRowsKnob(t *testing.T) {
 	build := func(n int) *Engine {
 		e := testEngine(t)
@@ -170,30 +169,5 @@ func TestParallelScanMinRowsKnob(t *testing.T) {
 	big.ParallelScanMinRows = 10000
 	if p := mustExec(t, big, q).Plan; strings.Contains(p, "parallel scan") {
 		t.Fatalf("knob above table size must stay serial:\n%s", p)
-	}
-
-	env := build(20)
-	t.Setenv("GENALG_PARSCAN_MINROWS", "10")
-	if p := mustExec(t, env, q).Plan; !strings.Contains(p, "parallel scan: 4 workers") {
-		t.Fatalf("GENALG_PARSCAN_MINROWS=10 should parallelize the 20-row table:\n%s", p)
-	}
-}
-
-// TestLegacyPlannerPreserved: DisableCBO must reproduce the heuristic plan
-// shape (declared driver, nested loops, no cost lines) — it is the baseline
-// BenchmarkE16 measures against.
-func TestLegacyPlannerPreserved(t *testing.T) {
-	e := testEngine(t)
-	e.DisableCBO = true
-	setupJoinTables(t, e, 5, 50)
-	r := mustExec(t, e, `EXPLAIN SELECT child.cid FROM child JOIN parent ON child.fk = parent.id`)
-	if !strings.Contains(r.Plan, "access: scan child") {
-		t.Fatalf("legacy planner must keep the declared driver:\n%s", r.Plan)
-	}
-	if !strings.Contains(r.Plan, "nested-loop join: parent") {
-		t.Fatalf("legacy planner must nested-loop:\n%s", r.Plan)
-	}
-	if strings.Contains(r.Plan, "plan cost") || strings.Contains(r.Plan, "hash join") {
-		t.Fatalf("legacy plan must not carry cost-based artifacts:\n%s", r.Plan)
 	}
 }

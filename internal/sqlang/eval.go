@@ -193,14 +193,21 @@ func b2i(b bool) int64 {
 	return 0
 }
 
+// cmpOrd orders two numbers. NaN equals NaN and sorts above every other
+// number, as in PostgreSQL, which keeps the order total and agrees with
+// appendKeyVal's single canonical NaN key.
 func cmpOrd[T int64 | float64](a, b T) int {
 	switch {
 	case a < b:
 		return -1
 	case a > b:
 		return 1
+	case a == b, a != a && b != b:
+		return 0
+	case a != a:
+		return 1
 	}
-	return 0
+	return -1
 }
 
 func arith(op string, l, r any) (any, error) {

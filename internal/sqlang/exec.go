@@ -2,14 +2,12 @@ package sqlang
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"time"
 
 	"genalg/internal/db"
-	"genalg/internal/kmeridx"
 	"genalg/internal/obs"
 	"genalg/internal/parallel"
 	"genalg/internal/storage"
@@ -64,16 +62,9 @@ type Engine struct {
 	// the differential tests use as the baseline. Results are identical at
 	// any size. Set at construction time; not synchronized.
 	BatchSize int
-	// DisableCBO reverts to the pre-cost-model planner (declared join
-	// order, first-match access path, nested-loop joins that re-scan the
-	// inner table, all filters after the full join) — the benchmark
-	// baseline the cost-based planner is measured against. Set at
-	// construction time; not synchronized.
-	DisableCBO bool
 	// ParallelScanMinRows is the driving-table row count above which a
-	// single-table filter scan partitions across workers: 0 selects the
-	// GENALG_PARSCAN_MINROWS env var, then parallelScanThreshold. Set at
-	// construction time; not synchronized.
+	// single-table filter scan partitions across workers: 0 selects
+	// parallelScanThreshold. Set at construction time; not synchronized.
 	ParallelScanMinRows int
 	// CostIndexSeek overrides the planner's fixed index-descent charge
 	// (costIndexSeek) when > 0. The regression harness's self-tests
@@ -474,77 +465,6 @@ type accessPath struct {
 	rids []storage.RID
 	// used marks the conjunct consumed by the path (removed from filters).
 	used Expr
-}
-
-// chooseAccess inspects the conjuncts for an indexable predicate on the
-// driving table.
-func (e *Engine) chooseAccess(ctx context.Context, tbl *db.Table, tableName string, sc *scope, preds []Expr) (accessPath, error) {
-	schema := tbl.Schema()
-	colOf := func(x Expr) (string, bool) {
-		c, ok := x.(*ColRef)
-		if !ok {
-			return "", false
-		}
-		if c.Table != "" && !strings.EqualFold(c.Table, tableName) {
-			return "", false
-		}
-		if schema.ColIndex(c.Name) < 0 {
-			return "", false
-		}
-		return c.Name, true
-	}
-	litOf := func(x Expr) (any, bool) {
-		l, ok := x.(*Lit)
-		if !ok {
-			return nil, false
-		}
-		return l.Val, true
-	}
-	for _, p := range preds {
-		// Equality on a B-tree column: col = lit or lit = col.
-		if b, ok := p.(*BinOp); ok && b.Op == "=" {
-			if col, ok := colOf(b.L); ok {
-				if v, ok := litOf(b.R); ok && tbl.HasBTreeIndex(col) {
-					rids, err := tbl.IndexLookup(col, v)
-					if err != nil {
-						return accessPath{}, err
-					}
-					return accessPath{desc: fmt.Sprintf("index eq %s.%s", tableName, col), rids: rids, used: p}, nil
-				}
-			}
-			if col, ok := colOf(b.R); ok {
-				if v, ok := litOf(b.L); ok && tbl.HasBTreeIndex(col) {
-					rids, err := tbl.IndexLookup(col, v)
-					if err != nil {
-						return accessPath{}, err
-					}
-					return accessPath{desc: fmt.Sprintf("index eq %s.%s", tableName, col), rids: rids, used: p}, nil
-				}
-			}
-		}
-		// contains(col, 'pattern') on a genomic-indexed column.
-		if fc, ok := p.(*FuncCall); ok && len(fc.Args) == 2 {
-			fn, known := e.DB.Funcs.Get(fc.Name)
-			if !known || fn.IndexHint != "kmer" {
-				continue
-			}
-			col, okc := colOf(fc.Args[0])
-			pat, okp := litOf(fc.Args[1])
-			pstr, oks := pat.(string)
-			if okc && okp && oks && tbl.HasGenomicIndex(col) {
-				rids, err := tbl.GenomicLookupCtx(ctx, col, pstr)
-				if err != nil {
-					var short *kmeridx.ErrPatternTooShort
-					if errors.As(err, &short) {
-						continue // fall back to scan
-					}
-					return accessPath{}, err
-				}
-				return accessPath{desc: fmt.Sprintf("genomic index %s.%s pattern=%q", tableName, col, pstr), rids: rids, used: p}, nil
-			}
-		}
-	}
-	return accessPath{desc: fmt.Sprintf("scan %s", tableName)}, nil
 }
 
 func (e *Engine) execSelect(qctx context.Context, s *SelectStmt) (*Result, error) {

@@ -133,7 +133,6 @@ func TestNarrowMatchesUnnarrowed(t *testing.T) {
 	configs := map[string]func(*Engine){
 		"cbo":      func(*Engine) {},
 		"row":      func(e *Engine) { e.BatchSize = 1 },
-		"legacy":   func(e *Engine) { e.DisableCBO = true },
 		"parallel": func(e *Engine) { e.Workers, e.ParallelScanMinRows = 3, 1 },
 	}
 	cases := []struct {

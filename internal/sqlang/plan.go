@@ -58,10 +58,8 @@ type planInfo struct {
 	actJoined int64      // rows produced by the join stage
 	joinNanos int64
 
-	// costed marks a cost-based plan: render appends the chosen plan's
-	// total cost and the rejected alternatives (absent under
-	// Engine.DisableCBO, whose heuristic plan has no cost to report).
-	costed   bool
+	// planCost is the chosen plan's total cost; alts are the rejected
+	// alternatives. render appends both.
 	planCost float64
 	alts     []planAlt
 
@@ -120,11 +118,9 @@ func (pi *planInfo) render() string {
 		}
 		sb.WriteByte('\n')
 	}
-	if pi.costed {
-		fmt.Fprintf(&sb, "plan cost: %.4g\n", pi.planCost)
-		for _, a := range pi.alts {
-			fmt.Fprintf(&sb, "rejected plan: %s (cost=%.4g)\n", a.desc, a.cost)
-		}
+	fmt.Fprintf(&sb, "plan cost: %.4g\n", pi.planCost)
+	for _, a := range pi.alts {
+		fmt.Fprintf(&sb, "rejected plan: %s (cost=%.4g)\n", a.desc, a.cost)
 	}
 	if pi.analyze {
 		if pi.aggregated {

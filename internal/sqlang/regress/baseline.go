@@ -124,8 +124,7 @@ func (h *Harness) Update() (int, error) {
 
 // render executes one corpus file against a fresh database and produces
 // its golden text: per statement, the normalized result plus — for every
-// SELECT — the EXPLAIN plan under both the cost-based and the legacy
-// (DisableCBO) planner, so drift in either planner is caught.
+// SELECT — its EXPLAIN plan, so planner drift is caught.
 func (h *Harness) render(cf CorpusFile) (string, error) {
 	ctx := context.Background()
 	d, err := NewDB()
@@ -133,30 +132,13 @@ func (h *Harness) render(cf CorpusFile) (string, error) {
 		return "", err
 	}
 	defer d.Close()
-	cbo, legacy := BaselineEngines(d)
+	eng := BaselineEngine(d)
 	if h.Perturb != nil {
-		h.Perturb(cbo)
-		h.Perturb(legacy)
-	}
-	runSetup := func(sql string) error {
-		stmt, err := sqlang.Parse(sql)
-		if err != nil {
-			return fmt.Errorf("fixture statement %q: %w", sql, err)
-		}
-		if _, err := cbo.ExecStmtSQLCtx(ctx, stmt, sql); err != nil {
-			return fmt.Errorf("fixture statement %q: %w", sql, err)
-		}
-		if _, ok := stmt.(*sqlang.AnalyzeStmt); ok {
-			// Statistics live per engine; the legacy planner needs them too.
-			if _, err := legacy.ExecStmtSQLCtx(ctx, stmt, sql); err != nil {
-				return err
-			}
-		}
-		return nil
+		h.Perturb(eng)
 	}
 	for _, sql := range cf.FixtureStatements() {
-		if err := runSetup(sql); err != nil {
-			return "", err
+		if _, err := eng.Exec(sql); err != nil {
+			return "", fmt.Errorf("fixture statement %q: %w", sql, err)
 		}
 	}
 
@@ -172,7 +154,7 @@ func (h *Harness) render(cf CorpusFile) (string, error) {
 		if isSel && sel.Analyze {
 			return "", fmt.Errorf("statement %d: EXPLAIN ANALYZE is not snapshotable (wall times are nondeterministic); use EXPLAIN", i+1)
 		}
-		res, err := cbo.ExecStmtSQLCtx(ctx, stmt, sql)
+		res, err := eng.ExecStmtSQLCtx(ctx, stmt, sql)
 		if err != nil {
 			fmt.Fprintf(&sb, "--- error\n%s\n", err)
 			continue
@@ -182,25 +164,15 @@ func (h *Harness) render(cf CorpusFile) (string, error) {
 			fmt.Fprintf(&sb, "--- plan cbo\n%s", res.Plan)
 		case isSel:
 			fmt.Fprintf(&sb, "--- result\n%s", NormalizeResult(res, len(sel.OrderBy) > 0, SnapshotPrec))
-			for _, pe := range []struct {
-				name string
-				eng  *sqlang.Engine
-			}{{"cbo", cbo}, {"legacy", legacy}} {
-				ex := *sel
-				ex.Explain = true
-				pres, err := pe.eng.ExecStmtSQLCtx(ctx, &ex, "")
-				if err != nil {
-					return "", fmt.Errorf("statement %d: EXPLAIN under %s: %w", i+1, pe.name, err)
-				}
-				fmt.Fprintf(&sb, "--- plan %s\n%s", pe.name, pres.Plan)
+			ex := *sel
+			ex.Explain = true
+			pres, err := eng.ExecStmtSQLCtx(ctx, &ex, "")
+			if err != nil {
+				return "", fmt.Errorf("statement %d: EXPLAIN: %w", i+1, err)
 			}
+			fmt.Fprintf(&sb, "--- plan cbo\n%s", pres.Plan)
 		default:
 			fmt.Fprintf(&sb, "--- result\n%s", NormalizeResult(res, false, SnapshotPrec))
-			if _, ok := stmt.(*sqlang.AnalyzeStmt); ok {
-				if _, err := legacy.ExecStmtSQLCtx(ctx, stmt, sql); err != nil {
-					return "", err
-				}
-			}
 		}
 	}
 	return sb.String(), nil

@@ -8,8 +8,8 @@
 // The harness is what lets the planner and executor keep being rewritten
 // aggressively: any silent change to a result set or a chosen plan fails
 // CI, and the fuzzer hunts for semantic divergence between the
-// cost-based batched executor and its row-at-a-time, legacy-planner,
-// serial, and parallel-scan siblings.
+// cost-based batched executor and its unanalyzed, row-at-a-time, serial,
+// and parallel-scan siblings.
 package regress
 
 import (
@@ -40,22 +40,20 @@ func NewDB() (*db.DB, error) {
 type Runner struct {
 	Name string
 	Eng  *sqlang.Engine
+	// Unanalyzed keeps AnalyzeAll off this runner's engine, so its planner
+	// works from the default selectivities. Statistics live per engine.
+	Unanalyzed bool
 }
 
-// BaselineEngines returns the two engines the corpus harness snapshots
-// plans from: the cost-based planner and the legacy (DisableCBO)
-// heuristic planner. Both are pinned to Workers=1 and given private
-// metrics registries so baselines are machine-independent and runs don't
-// pollute obs.Default.
-func BaselineEngines(d *db.DB) (cbo, legacy *sqlang.Engine) {
-	cbo = sqlang.NewEngine(d)
-	cbo.Workers = 1
-	cbo.Obs = obs.New()
-	legacy = sqlang.NewEngine(d)
-	legacy.DisableCBO = true
-	legacy.Workers = 1
-	legacy.Obs = obs.New()
-	return cbo, legacy
+// BaselineEngine returns the engine the corpus harness snapshots results
+// and plans from. It is pinned to Workers=1 and given a private metrics
+// registry so baselines are machine-independent and runs don't pollute
+// obs.Default.
+func BaselineEngine(d *db.DB) *sqlang.Engine {
+	e := sqlang.NewEngine(d)
+	e.Workers = 1
+	e.Obs = obs.New()
+	return e
 }
 
 // Runners builds the differential-fuzzing executor matrix over one
@@ -63,8 +61,9 @@ func BaselineEngines(d *db.DB) (cbo, legacy *sqlang.Engine) {
 // planner, default batch size, serial); every other runner must produce
 // an identical result multiset for any SELECT:
 //
-//   - legacy: the pre-cost-model planner (declared join order,
-//     nested-loop joins, post-join filters)
+//   - unanalyzed: no ANALYZE statistics, so the planner estimates from
+//     default selectivities and sometimes picks a different driver,
+//     access path or join order from the reference
 //   - row-at-a-time: BatchSize=1, degenerating the batch pipeline to the
 //     old row-at-a-time executor
 //   - parallel-scan: partitioned scans forced on from the first row
@@ -72,34 +71,27 @@ func BaselineEngines(d *db.DB) (cbo, legacy *sqlang.Engine) {
 // The reference runs serial (Workers=1) so parallel-vs-serial is itself
 // one of the differential axes.
 func Runners(d *db.DB) []Runner {
-	ref := sqlang.NewEngine(d)
-	ref.Workers = 1
-	ref.Obs = obs.New()
-	legacy := sqlang.NewEngine(d)
-	legacy.DisableCBO = true
-	legacy.Workers = 1
-	legacy.Obs = obs.New()
-	row := sqlang.NewEngine(d)
+	row := BaselineEngine(d)
 	row.BatchSize = 1
-	row.Workers = 1
-	row.Obs = obs.New()
-	par := sqlang.NewEngine(d)
+	par := BaselineEngine(d)
 	par.Workers = 4
 	par.ParallelScanMinRows = 1
-	par.Obs = obs.New()
 	return []Runner{
-		{Name: "cbo-batched", Eng: ref},
-		{Name: "legacy-planner", Eng: legacy},
+		{Name: "cbo-batched", Eng: BaselineEngine(d)},
+		{Name: "unanalyzed", Eng: BaselineEngine(d), Unanalyzed: true},
 		{Name: "row-at-a-time", Eng: row},
 		{Name: "parallel-scan", Eng: par},
 	}
 }
 
-// AnalyzeAll runs ANALYZE for every table on every runner, so each
-// engine's planner sees identical statistics.
+// AnalyzeAll runs ANALYZE for every table on every runner not marked
+// Unanalyzed, so those engines' planners see identical statistics.
 func AnalyzeAll(d *db.DB, runners []Runner) error {
 	for _, t := range d.Tables() {
 		for _, r := range runners {
+			if r.Unanalyzed {
+				continue
+			}
 			if _, err := r.Eng.Exec("ANALYZE " + t); err != nil {
 				return err
 			}

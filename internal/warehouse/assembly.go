@@ -94,7 +94,7 @@ func (w *Warehouse) AssembleGenomes(genesPerChromosome int) (AssemblyStats, erro
 	for _, tname := range []string{TableChromosomes, TableGenomes} {
 		tbl, _ := w.DB.Table(tname)
 		var rids []storage.RID
-		if err := tbl.Scan(nil, func(rid storage.RID, _ db.Row) bool {
+		if err := tbl.Scan(db.KeepColumns(len(tbl.Schema().Columns)), func(rid storage.RID, _ db.Row) bool {
 			rids = append(rids, rid)
 			return true
 		}); err != nil {

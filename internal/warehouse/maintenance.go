@@ -327,7 +327,7 @@ func (w *Warehouse) FullReload(repos []*sources.Repo) error {
 	for _, pair := range []string{TableFragments, TableGenes, TableFragmentAlts, TableGeneAlts} {
 		tbl, _ := w.DB.Table(pair)
 		var rids []storage.RID
-		err := tbl.Scan(nil, func(rid storage.RID, _ db.Row) bool {
+		err := tbl.Scan(db.KeepColumns(len(tbl.Schema().Columns)), func(rid storage.RID, _ db.Row) bool {
 			rids = append(rids, rid)
 			return true
 		})
