@@ -70,12 +70,14 @@ bench-smoke:
 	@test -s bin/bench-smoke/BENCH_e12.json || { echo "bench-smoke: missing BENCH_e12.json"; exit 1; }
 	@echo "bench-smoke: ok"
 
-# smoke drives the two binaries end to end with small fixtures — the CI
+# smoke drives the two binaries end to end with small fixtures, then the
+# durable-warehouse example (reopen by WAL replay, no save step) — the CI
 # smoke job, runnable locally.
 smoke:
 	$(GO) run ./cmd/etlrun -records 200 -rounds 2
 	$(GO) run ./cmd/etlrun -records 100 -rounds 2 -faults 0.2
 	$(GO) run ./cmd/benchtab -only e12 -quick
+	$(GO) run ./examples/persistent_warehouse
 
 # smoke-obs drives the observability surface: EXPLAIN ANALYZE through the
 # shell plus a \metrics snapshot, grepping for the plan annotations and the

@@ -510,8 +510,7 @@ func e4IndexVsScan() error {
 		}
 		scanTime := time.Since(start) / reps
 
-		tbl, _ := w.DB.Table(warehouse.TableFragments)
-		if err := tbl.CreateGenomicIndex("fragment", 11); err != nil {
+		if err := w.DB.CreateGenomicIndexOn(warehouse.TableFragments, "fragment", 11); err != nil {
 			return err
 		}
 		start = time.Now()

@@ -1,7 +1,9 @@
-// Persistent_warehouse demonstrates the durable Unifying Database: create a
-// file-backed warehouse, load it, annotate it in user space, save, reopen,
-// and continue maintenance — the paper's long-term vision of a database
-// biologists keep rather than rebuild.
+// Persistent_warehouse demonstrates the durable Unifying Database: open a
+// WAL-backed warehouse, load it and annotate it in user space, then walk
+// away without closing it. A second session reopens the directory, finds
+// every acknowledged statement by replaying the log, and continues
+// maintenance — the paper's long-term vision of a database biologists
+// keep rather than rebuild, with no save step to forget.
 package main
 
 import (
@@ -31,14 +33,21 @@ func run() error {
 	defer os.RemoveAll(dir)
 	fmt.Println("warehouse directory:", dir)
 	wrapper := etl.NewWrapper(ontology.Standard())
+	repo := sources.NewRepo("genbank1", sources.FormatGenBank, sources.CapLogged,
+		sources.Generate(3, sources.GenOptions{N: 50}))
+	if err := session1(dir, wrapper, repo); err != nil {
+		return err
+	}
+	return session2(dir, wrapper, repo)
+}
 
-	// --- session 1: create, load, annotate, save ---
-	w, err := warehouse.OpenFile(dir, 1024, wrapper)
+// session1 creates, loads and annotates the warehouse, then abandons it:
+// no Close, no save. Each statement was durable when it returned.
+func session1(dir string, wrapper *etl.Wrapper, repo *sources.Repo) error {
+	w, err := warehouse.OpenDurable(dir, 1024, wrapper)
 	if err != nil {
 		return err
 	}
-	repo := sources.NewRepo("genbank1", sources.FormatGenBank, sources.CapLogged,
-		sources.Generate(3, sources.GenOptions{N: 50}))
 	stats, err := w.InitialLoad(context.Background(), []*sources.Repo{repo})
 	if err != nil {
 		return err
@@ -58,28 +67,34 @@ func run() error {
 		`INSERT INTO lab_notes VALUES ('SYN000004', 'candidate for knockout study')`); err != nil {
 		return err
 	}
-	if err := w.Save(dir); err != nil {
-		return err
-	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	fmt.Println("session 1: saved and closed")
+	fmt.Println("session 1: annotated, then left without closing")
+	return nil
+}
 
-	// --- session 2: reopen, verify, continue maintenance ---
-	w2, err := warehouse.OpenExisting(dir, 1024, wrapper)
+// session2 reopens the directory by WAL replay, checks that session 1's
+// work is all there, and catches up with the source incrementally.
+func session2(dir string, wrapper *etl.Wrapper, repo *sources.Repo) error {
+	w, err := warehouse.OpenDurable(dir, 1024, wrapper)
 	if err != nil {
 		return err
 	}
-	defer w2.Close()
-	r, err := w2.Query(context.Background(), "biologist", `SELECT n.target, n.note, f.quality
+	defer w.Close()
+	fmt.Printf("session 2: reopened with %d entities\n", w.CountPublic())
+	r, err := w.Query(context.Background(), "biologist", `SELECT n.target, n.note, f.quality
 		FROM lab_notes n JOIN fragments f ON n.target = f.id`)
 	if err != nil {
 		return err
 	}
+	if len(r.Rows) != 1 {
+		return fmt.Errorf("session 2: want the 1 note session 1 wrote, got %d", len(r.Rows))
+	}
 	fmt.Println("session 2: notes rejoined with public data:")
 	for _, row := range r.Rows {
 		fmt.Printf("  %v  %q  quality=%.3f\n", row[0], row[1], row[2])
+	}
+	if _, err := w.Query(context.Background(), "stranger",
+		`INSERT INTO lab_notes VALUES ('SYN000001', 'vandalism')`); err == nil {
+		return fmt.Errorf("session 2: ownership of lab_notes was lost")
 	}
 
 	// The source moved on while we were away; catch up incrementally.
@@ -87,7 +102,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if _, err := det.Poll(context.Background()); err != nil { // drain pre-save history
+	if _, err := det.Poll(context.Background()); err != nil { // drain the loaded history
 		return err
 	}
 	repo.ApplyRandomUpdates(9, 8)
@@ -95,10 +110,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if _, err := w2.ApplyDeltas(context.Background(), deltas); err != nil {
+	if _, err := w.ApplyDeltas(context.Background(), deltas); err != nil {
 		return err
 	}
 	fmt.Printf("session 2: applied %d deltas; warehouse now holds %d entities\n",
-		len(deltas), w2.CountPublic())
-	return w2.Save(dir)
+		len(deltas), w.CountPublic())
+	return nil
 }

@@ -8,7 +8,10 @@
 //  2. Outside internal/db, table mutations must route through
 //     DB.ApplyDML (the only path that logs, syncs, and checkpoints);
 //     calling Table.Insert/Delete directly writes heap pages the WAL
-//     knows nothing about, so a crash silently forgets them.
+//     knows nothing about, so a crash silently forgets them. Index DDL
+//     likewise goes through DB.CreateBTreeIndexOn/CreateGenomicIndexOn:
+//     Table.CreateBTreeIndex/CreateGenomicIndex build an index the log
+//     never records, so it is gone after restart.
 //  3. In genalgd, a wire response carrying a statement result must be
 //     written inside the beginWork/endWork inflight window and never
 //     from a spawned goroutine: drain waits on that window so every
@@ -34,7 +37,7 @@ import (
 // Analyzer is the durability check.
 var Analyzer = &analysis.Analyzer{
 	Name: "durability",
-	Doc: "check ack-after-fsync: AppendTxn LSNs reach WaitDurable, mutations route through ApplyDML, genalgd acks stay in the drain window\n\n" +
+	Doc: "check ack-after-fsync: AppendTxn LSNs reach WaitDurable, mutations route through ApplyDML and index DDL through DB.Create…IndexOn, genalgd acks stay in the drain window\n\n" +
 		"The WaitDurable obligation is path-sensitive and interprocedural (a helper summarized as waiting " +
 		"discharges it); returning or storing the LSN hands the obligation to the new owner.",
 	Run:   run,
@@ -148,12 +151,18 @@ func checkAppendTxn(pass *analysis.Pass, s *ast.AssignStmt, stack []ast.Node) {
 		leak.Kind, line)
 }
 
-// checkDirectMutation enforces invariant 2: Table.Insert/Table.Delete
-// outside internal/db.
+// checkDirectMutation enforces invariant 2: Table.Insert/Delete and
+// Table.CreateBTreeIndex/CreateGenomicIndex outside internal/db.
 func checkDirectMutation(pass *analysis.Pass, call *ast.CallExpr) {
 	for _, method := range []string{"Insert", "Delete"} {
 		if analysis.IsMethodCall(pass.TypesInfo, call, "db", "Table", method) {
 			pass.Reportf(call.Pos(), "direct Table.%s bypasses the WAL: route the mutation through DB.ApplyDML so it is logged, fsynced, and checkpointed", method)
+			return
+		}
+	}
+	for _, method := range []string{"CreateBTreeIndex", "CreateGenomicIndex"} {
+		if analysis.IsMethodCall(pass.TypesInfo, call, "db", "Table", method) {
+			pass.Reportf(call.Pos(), "direct Table.%s is unlogged DDL: call DB.%sOn so the index survives restart", method, method)
 			return
 		}
 	}

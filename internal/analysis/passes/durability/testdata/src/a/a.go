@@ -1,7 +1,7 @@
 // Package a holds durability fixtures for the WAL invariants: every
 // AppendTxn LSN reaches WaitDurable on every path (directly, through a
 // summarized helper, or by handing the LSN to a new owner), and table
-// mutations outside db route through ApplyDML.
+// mutations and index DDL outside db route through the logged DB methods.
 package a
 
 import (
@@ -102,4 +102,21 @@ func pruneDirect(t *db.Table) error {
 // The sanctioned path: clean.
 func viaDML(d *db.DB) error {
 	return d.ApplyDML("DELETE FROM reads WHERE stale")
+}
+
+// Index DDL on the table itself is never logged: the index is gone after
+// a restart.
+func indexDirect(t *db.Table) error {
+	if err := t.CreateBTreeIndex("id"); err != nil { // want `direct Table\.CreateBTreeIndex is unlogged DDL`
+		return err
+	}
+	return t.CreateGenomicIndex("fragment", 11) // want `direct Table\.CreateGenomicIndex is unlogged DDL`
+}
+
+// The logged index DDL: clean.
+func indexViaDB(d *db.DB) error {
+	if err := d.CreateBTreeIndexOn("frags", "id"); err != nil {
+		return err
+	}
+	return d.CreateGenomicIndexOn("frags", "fragment", 11)
 }

@@ -11,6 +11,9 @@ type Table struct{}
 func (t *Table) Insert(r Row) error      { return nil }
 func (t *Table) Delete(key string) error { return nil }
 
+func (t *Table) CreateBTreeIndex(col string) error          { return nil }
+func (t *Table) CreateGenomicIndex(col string, k int) error { return nil }
+
 // DB mimics genalg/internal/db.DB.
 type DB struct{ T *Table }
 
@@ -20,4 +23,14 @@ func (d *DB) ApplyDML(stmt string) error {
 		return err
 	}
 	return d.T.Delete("k")
+}
+
+// CreateBTreeIndexOn is the sanctioned (logged) index DDL path.
+func (d *DB) CreateBTreeIndexOn(table, col string) error {
+	return d.T.CreateBTreeIndex(col)
+}
+
+// CreateGenomicIndexOn is the sanctioned (logged) genomic index DDL path.
+func (d *DB) CreateGenomicIndexOn(table, col string, k int) error {
+	return d.T.CreateGenomicIndex(col, k)
 }

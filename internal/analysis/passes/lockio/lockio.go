@@ -210,7 +210,7 @@ var osFileBlocking = map[string]bool{
 }
 
 var pagerMethods = map[string]bool{
-	"Read": true, "Write": true, "Allocate": true, "Sync": true,
+	"Read": true, "Write": true, "Allocate": true,
 }
 
 var bufferPoolBlocking = map[string]bool{

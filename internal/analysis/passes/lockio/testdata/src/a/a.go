@@ -50,11 +50,11 @@ func (s *store) fanoutUnderLock(ctx context.Context) {
 	parallel.ForEach(ctx, 4, func(i int) {}) // want `call to parallel\.ForEach \(worker-pool fan-out\) while s\.mu is held`
 }
 
-// rlockSync holds a read lock across a pager sync.
-func (s *store) rlockSync() error {
+// rlockWrite holds a read lock across a pager write.
+func (s *store) rlockWrite(id storage.PageID, p *storage.Page) error {
 	s.rw.RLock()
 	defer s.rw.RUnlock()
-	return s.pager.Sync() // want `call to Pager\.Sync \(pager I/O\) while s\.rw is held`
+	return s.pager.Write(id, p) // want `call to Pager\.Write \(pager I/O\) while s\.rw is held`
 }
 
 // pinUnderLock pins (possible disk read) inside the critical section.

@@ -12,7 +12,6 @@ type Pager interface {
 	Read(id PageID, p *Page) error
 	Write(id PageID, p *Page) error
 	Allocate() (PageID, error)
-	Sync() error
 }
 
 // BufferPool mimics the real buffer pool.

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -14,8 +15,8 @@ import (
 )
 
 // DB is an engine instance: a catalog of tables over a shared buffer pool,
-// a UDT registry, and an external-function registry. Create one with Open
-// (file-backed), OpenMemory, or OpenDurable (WAL-backed crash recovery).
+// a UDT registry, and an external-function registry. Create one with
+// OpenMemory (ephemeral) or OpenDurable (WAL-backed crash recovery).
 type DB struct {
 	pool  *storage.BufferPool
 	pager storage.Pager
@@ -67,29 +68,6 @@ func OpenMemory(poolPages int) (*DB, error) {
 	}, nil
 }
 
-// Open creates or opens a file-backed engine at path. Note: the catalog is
-// currently in-memory; reopening a file requires re-creating tables and
-// reattaching heaps via CreateTableAt (used by the warehouse's manifest).
-func Open(path string, poolPages int) (*DB, error) {
-	pager, err := storage.OpenFilePager(path)
-	if err != nil {
-		return nil, err
-	}
-	pool, err := storage.NewBufferPool(pager, poolPages)
-	if err != nil {
-		pager.Close()
-		return nil, err
-	}
-	pool.RegisterMetrics(obs.Default, "db")
-	return &DB{
-		pool:   pool,
-		pager:  pager,
-		UDTs:   NewUDTRegistry(),
-		Funcs:  NewFuncRegistry(),
-		tables: make(map[string]*Table),
-	}, nil
-}
-
 // Close flushes and closes the engine (including its WAL, if durable).
 func (d *DB) Close() error {
 	if d.wal != nil {
@@ -103,13 +81,13 @@ func (d *DB) Close() error {
 	return d.pager.Close()
 }
 
-// Flush writes all dirty pages back.
-func (d *DB) Flush() error { return d.pool.FlushAll() }
-
 // PoolStats returns the engine's buffer-pool counters.
 func (d *DB) PoolStats() storage.Stats { return d.pool.Stats() }
 
-// CreateTable registers a new empty table with the given schema.
+// CreateTable registers a new empty table with the given schema. On a
+// durable engine the DDL is logged and fsynced before CreateTable returns,
+// so the table survives restart. WAL replay also creates tables through
+// here, but runs before the log is attached, so it does not re-log.
 func (d *DB) CreateTable(s Schema) (*Table, error) {
 	if s.Table == "" {
 		return nil, fmt.Errorf("db: table needs a name")
@@ -132,6 +110,27 @@ func (d *DB) CreateTable(s Schema) (*Table, error) {
 			}
 		}
 	}
+	d.dmlMu.Lock()
+	defer d.dmlMu.Unlock()
+	t, err := d.addTable(s)
+	if err != nil || d.wal == nil {
+		return t, err
+	}
+	payload, err := json.Marshal(s)
+	if err != nil {
+		return nil, fmt.Errorf("db: encoding schema of %s: %w", s.Table, err)
+	}
+	//genalgvet:ignore lockorder dmlMu is the engine's statement lock, not a data mutex: DDL must be logged and fsynced inside it so no DML statement can interleave with a half-durable schema change
+	if err := d.logDDL(wal.Record{Type: wal.RecCreateTable, Table: s.Table, Data: payload}); err != nil {
+		// The table exists in memory but can never be durable; surface the
+		// failure rather than silently diverging from the log.
+		return nil, err
+	}
+	return t, nil
+}
+
+// addTable enters a validated schema into the catalog.
+func (d *DB) addTable(s Schema) (*Table, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if _, exists := d.tables[s.Table]; exists {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"os"
 	"testing"
 	"testing/quick"
 
@@ -536,33 +535,6 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 	<-done
 }
 
-func TestFileBackedDBPersistsRows(t *testing.T) {
-	path := t.TempDir() + "/engine.db"
-	d, err := Open(path, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.UDTs.Register(dnaUDT()); err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := d.CreateTable(fragmentsSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tbl.Insert(Row{"F1", "src", 1.0, gdt.DNA{ID: "F1", Seq: randDNA(3, 64)}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The pager file must be page-aligned and reopenable.
-	d2, err := Open(path, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-}
-
 func BenchmarkInsertScalarRows(b *testing.B) {
 	d, _ := OpenMemory(4096)
 	tbl, _ := d.CreateTable(Schema{Table: "t", Columns: []Column{
@@ -587,102 +559,6 @@ func BenchmarkScan10k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n := 0
 		tbl.Scan(nil, func(rid storage.RID, row Row) bool { n++; return true })
-	}
-}
-
-func TestManifestSaveRestore(t *testing.T) {
-	dir := t.TempDir()
-	pagePath := dir + "/pages.db"
-	maniPath := dir + "/catalog.json"
-
-	d, err := Open(pagePath, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.UDTs.Register(dnaUDT()); err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := d.CreateTable(fragmentsSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqs := make([]seq.NucSeq, 25)
-	for i := range seqs {
-		seqs[i] = randDNA(int64(i+500), 300)
-		if _, err := tbl.Insert(Row{fmt.Sprintf("F%02d", i), "src", float64(i), gdt.DNA{ID: fmt.Sprintf("F%02d", i), Seq: seqs[i]}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tbl.CreateBTreeIndex("id"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.CreateGenomicIndex("fragment", 9); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Save(maniPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen and restore.
-	d2, err := Open(pagePath, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	if err := d2.UDTs.Register(dnaUDT()); err != nil {
-		t.Fatal(err)
-	}
-	if err := d2.Restore(maniPath); err != nil {
-		t.Fatal(err)
-	}
-	tbl2, ok := d2.Table("DNAFragments")
-	if !ok {
-		t.Fatal("table lost across restore")
-	}
-	if tbl2.RowCount() != 25 {
-		t.Errorf("RowCount after restore = %d", tbl2.RowCount())
-	}
-	// B-tree index rebuilt.
-	rids, err := tbl2.IndexLookup("id", "F07")
-	if err != nil || len(rids) != 1 {
-		t.Errorf("restored index lookup = %v, %v", rids, err)
-	}
-	row, err := tbl2.Get(rids[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !row[3].(gdt.DNA).Seq.Equal(seqs[7]) {
-		t.Error("opaque value corrupted across restore")
-	}
-	// Genomic index rebuilt.
-	pat := seqs[3].Slice(100, 130).String()
-	grids, err := tbl2.GenomicLookup("fragment", pat)
-	if err != nil || len(grids) == 0 {
-		t.Errorf("restored genomic lookup = %v, %v", grids, err)
-	}
-	// New writes after restore work.
-	if _, err := tbl2.Insert(Row{"NEW", "src", 0.0, nil}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRestoreErrors(t *testing.T) {
-	d, _ := OpenMemory(64)
-	if err := d.Restore("/nonexistent/manifest.json"); err == nil {
-		t.Error("restore from missing manifest succeeded")
-	}
-	dir := t.TempDir()
-	bad := dir + "/bad.json"
-	os.WriteFile(bad, []byte("{not json"), 0o644)
-	if err := d.Restore(bad); err == nil {
-		t.Error("restore from corrupt manifest succeeded")
-	}
-	os.WriteFile(bad, []byte(`{"version": 99}`), 0o644)
-	if err := d.Restore(bad); err == nil {
-		t.Error("restore from future version succeeded")
 	}
 }
 

@@ -46,9 +46,9 @@ const WalName = "wal.log"
 // OpenDurable opens (creating if needed) a WAL-backed engine in dir. Any
 // existing log is replayed — committed statements reappear, a torn tail
 // from a crash is discarded — and the returned Recovery says what was
-// found. Durable engines must be mutated through ApplyDML / the logged
-// DDL wrappers (the sqlang engine does); direct Table writes bypass the
-// log.
+// found. Durable engines must be mutated through ApplyDML, CreateTable
+// and the logged Create…IndexOn DDL (the sqlang engine and the warehouse
+// do); direct Table writes bypass the log.
 func OpenDurable(dir string, opts DurableOptions) (*DB, wal.Recovery, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, wal.Recovery{}, fmt.Errorf("db: creating durable dir: %w", err)
@@ -87,7 +87,8 @@ func OpenDurable(dir string, opts DurableOptions) (*DB, wal.Recovery, error) {
 // Wal returns the engine's write-ahead log (nil for non-durable engines).
 func (d *DB) Wal() *wal.Log { return d.wal }
 
-// createTablePayload / createIndexPayload are the DDL record bodies.
+// createIndexPayload is the index DDL record body (a table's is its
+// Schema).
 type createIndexPayload struct {
 	Table   string `json:"table"`
 	Col     string `json:"col"`
@@ -106,29 +107,6 @@ func (d *DB) logDDL(rec wal.Record) error {
 		return err
 	}
 	return d.wal.WaitDurable(lsn)
-}
-
-// CreateTableDurable registers a new table and, on a durable engine, logs
-// the DDL so the table survives restart. Non-durable engines behave
-// exactly like CreateTable.
-func (d *DB) CreateTableDurable(s Schema) (*Table, error) {
-	d.dmlMu.Lock()
-	defer d.dmlMu.Unlock()
-	t, err := d.CreateTable(s)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := json.Marshal(s)
-	if err != nil {
-		return nil, fmt.Errorf("db: encoding schema of %s: %w", s.Table, err)
-	}
-	//genalgvet:ignore lockorder dmlMu is the engine's statement lock, not a data mutex: DDL must be logged and fsynced inside it so no DML statement can interleave with a half-durable schema change
-	if err := d.logDDL(wal.Record{Type: wal.RecCreateTable, Table: s.Table, Data: payload}); err != nil {
-		// The table exists in memory but can never be durable; surface the
-		// failure rather than silently diverging from the log.
-		return nil, err
-	}
-	return t, nil
 }
 
 // CreateBTreeIndexOn builds a B-tree index and logs the DDL on durable

@@ -28,8 +28,8 @@ func openFrags(t *testing.T, dir string, opts DurableOptions) (*DB, wal.Recovery
 		t.Fatalf("OpenDurable: %v", err)
 	}
 	if _, ok := d.Table("frags"); !ok {
-		if _, err := d.CreateTableDurable(fragSchema()); err != nil {
-			t.Fatalf("CreateTableDurable: %v", err)
+		if _, err := d.CreateTable(fragSchema()); err != nil {
+			t.Fatalf("CreateTable: %v", err)
 		}
 	}
 	return d, reco

@@ -11,9 +11,15 @@ import (
 // working row. Only planning (predMask, keyDistinct) and the binder
 // resolve names; evaluation reads bound positions.
 type scope struct {
-	// cols[i] is the fully qualified name "table.col"; bare[i] the bare name.
+	// cols[i] is the fully qualified name "table.col"; bare[i] the bare
+	// name with the declared type the binder checks.
 	cols []string
-	bare []string
+	bare []scopeCol
+}
+
+type scopeCol struct {
+	name string
+	typ  db.ColType
 }
 
 func newScope() *scope { return &scope{} }
@@ -21,7 +27,7 @@ func newScope() *scope { return &scope{} }
 func (s *scope) add(table string, schema db.Schema) {
 	for _, c := range schema.Columns {
 		s.cols = append(s.cols, table+"."+c.Name)
-		s.bare = append(s.bare, c.Name)
+		s.bare = append(s.bare, scopeCol{c.Name, c.Type})
 	}
 }
 
@@ -38,7 +44,7 @@ func (s *scope) resolve(ref *ColRef) (int, error) {
 	}
 	found := -1
 	for i, b := range s.bare {
-		if strings.EqualFold(b, ref.Name) {
+		if strings.EqualFold(b.name, ref.Name) {
 			if found >= 0 {
 				return -1, fmt.Errorf("sqlang: ambiguous column %q (qualify with table name)", ref.Name)
 			}
@@ -96,11 +102,15 @@ func (u *unbound) String() string { return u.src.String() }
 //
 // The binder records every column it resolves: those are exactly the
 // columns the statement reads, and selectPlan.narrow decodes only them.
+//
+// The binder also type-checks comparisons whose operand types are known
+// before execution (see checkComparable); err holds the first failure.
 type binder struct {
 	sc    *scope
 	funcs *db.FuncRegistry
 	// cols holds every boundCol produced, each exactly once.
 	cols []*boundCol
+	err  error
 }
 
 func newBinder(sc *scope, funcs *db.FuncRegistry) *binder {
@@ -128,7 +138,11 @@ func (b *binder) bind(x Expr) Expr {
 		}
 		return &boundFunc{src: p, fn: fn, args: b.bindAll(p.Args)}
 	case *BinOp:
-		return &BinOp{Op: p.Op, L: b.bind(p.L), R: b.bind(p.R)}
+		l, r := b.bind(p.L), b.bind(p.R)
+		if isComparison(p.Op) {
+			b.checkComparable(l, r)
+		}
+		return &BinOp{Op: p.Op, L: l, R: r}
 	case *UnOp:
 		return &UnOp{Op: p.Op, E: b.bind(p.E)}
 	case *IsNull:
@@ -155,6 +169,11 @@ func (b *binder) bindAll(xs []Expr) []Expr {
 // pushed, after and residual filters, and hash-join probe and build keys —
 // with its bound copy. Planning (and the EXPLAIN text it records) has
 // already run on the source expressions.
+//
+// Hash-join key pairs, the comparisons the planner took apart, are
+// type-checked here, so a statement fails or runs alike under every plan
+// shape. (An index path never consumes an ill-typed conjunct: see
+// eqKeyOf.)
 func (b *binder) bindPlan(pl *selectPlan) {
 	pl.driverFilters = b.bindAll(pl.driverFilters)
 	for i := range pl.joins {
@@ -163,8 +182,71 @@ func (b *binder) bindPlan(pl *selectPlan) {
 		st.after = b.bindAll(st.after)
 		st.probeKey = b.bindAll(st.probeKey)
 		st.buildKey = b.bindAll(st.buildKey)
+		for k := range st.probeKey {
+			b.checkComparable(st.probeKey[k], st.buildKey[k])
+		}
 	}
 	pl.residual = b.bindAll(pl.residual)
+}
+
+func isComparison(op string) bool {
+	switch op {
+	case "=", "<>", "<", "<=", ">", ">=":
+		return true
+	}
+	return false
+}
+
+// checkComparable records an error for a comparison whose operand types
+// can never compare, an int column against a string column, say. The
+// types come from the schema and from literals, so the statement fails
+// before it reads a row, whatever its plan: row by row, a hash join keys
+// the two types apart and matches nothing, while a nested loop fails on
+// its first pair. The message is compareVals', with the two types in a
+// fixed order, since the planner may swap a join key's sides.
+func (b *binder) checkComparable(l, r Expr) {
+	lt, rt := b.staticType(l), b.staticType(r)
+	numeric := func(t string) bool { return t == "int64" || t == "float64" }
+	if b.err != nil || lt == "" || rt == "" || lt == rt || numeric(lt) && numeric(rt) {
+		return
+	}
+	if lt > rt {
+		lt, rt = rt, lt
+	}
+	b.err = fmt.Errorf("sqlang: cannot compare %s with %s", lt, rt)
+}
+
+// staticType names the Go type a bound scalar operand evaluates to when
+// that is known before execution: a literal, or a column of a scalar type.
+// It is "" otherwise (NULL, function results, arithmetic, opaque and bytes
+// columns, names that failed to bind), and such comparisons are checked
+// row by row.
+func (b *binder) staticType(x Expr) string {
+	switch p := x.(type) {
+	case *Lit:
+		switch p.Val.(type) {
+		case int64:
+			return "int64"
+		case float64:
+			return "float64"
+		case string:
+			return "string"
+		case bool:
+			return "bool"
+		}
+	case *boundCol:
+		switch b.sc.bare[p.pos].typ {
+		case db.TInt:
+			return "int64"
+		case db.TFloat:
+			return "float64"
+		case db.TString:
+			return "string"
+		case db.TBool:
+			return "bool"
+		}
+	}
+	return ""
 }
 
 // narrow shrinks the working row to the columns the bound expressions cols

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"genalg/internal/db"
@@ -213,6 +214,36 @@ func litValOf(x Expr) (any, bool) {
 	return l.Val, true
 }
 
+// eqKeyOf converts the literal operand of col = literal to col's type, so
+// an index lookup finds what compareVals calls equal. ok=false when no key
+// stands for it: NULL (= NULL matches nothing), a fractional float against
+// an int column, or a value of another type (the binder rejects that
+// comparison). The conjunct then stays a filter.
+func eqKeyOf(schema db.Schema, col string, x Expr) (any, bool) {
+	v, ok := litValOf(x)
+	if !ok {
+		return nil, false
+	}
+	t := schema.Columns[schema.ColIndex(col)].Type
+	switch n := v.(type) {
+	case int64:
+		if t == db.TFloat {
+			return float64(n), true
+		}
+		return v, t == db.TInt
+	case float64:
+		if t == db.TInt {
+			return int64(n), n == math.Trunc(n) && math.Abs(n) <= 1<<53
+		}
+		return v, t == db.TFloat
+	case string:
+		return v, t == db.TString
+	case bool:
+		return v, t == db.TBool
+	}
+	return nil, false
+}
+
 // predCostSum totals the evaluation cost of a predicate list, skipping one
 // consumed predicate.
 func (e *Engine) predCostSum(preds []Expr, skip Expr) float64 {
@@ -276,13 +307,13 @@ func (e *Engine) enumerateAccess(slot tableSlot, singles []Expr) []accessCand {
 	for _, p := range singles {
 		if b, ok := p.(*BinOp); ok && b.Op == "=" {
 			if col, okc := slotColOf(schema, name, b.L); okc && slot.tbl.HasBTreeIndex(col) {
-				if v, okv := litValOf(b.R); okv {
+				if v, okv := eqKeyOf(schema, col, b.R); okv {
 					eqCand(p, col, v)
 					continue
 				}
 			}
 			if col, okc := slotColOf(schema, name, b.R); okc && slot.tbl.HasBTreeIndex(col) {
-				if v, okv := litValOf(b.L); okv {
+				if v, okv := eqKeyOf(schema, col, b.L); okv {
 					eqCand(p, col, v)
 					continue
 				}

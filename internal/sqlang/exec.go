@@ -158,9 +158,8 @@ func (e *Engine) execStmt(ctx context.Context, stmt Stmt) (*Result, error) {
 	case *InsertStmt:
 		return e.execInsert(s)
 	case *CreateTableStmt:
-		// The durable wrapper logs the DDL on WAL-backed engines and is a
-		// plain CreateTable otherwise.
-		if _, err := e.DB.CreateTableDurable(s.Schema); err != nil {
+		// CreateTable logs the DDL on WAL-backed engines.
+		if _, err := e.DB.CreateTable(s.Schema); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
@@ -204,6 +203,9 @@ func (e *Engine) execUpdate(s *UpdateStmt) (*Result, error) {
 	sets := make([]Expr, len(s.Sets))
 	for i, set := range s.Sets {
 		sets[i] = b.bind(set.Expr)
+	}
+	if b.err != nil {
+		return nil, b.err
 	}
 	ctx := &evalCtx{}
 	// Collect matching rows first: updating while scanning would revisit
@@ -322,7 +324,11 @@ func (e *Engine) execDelete(s *DeleteStmt) (*Result, error) {
 	}
 	sc := newScope()
 	sc.add(s.Table, tbl.Schema())
-	where := newBinder(sc, e.DB.Funcs).bind(s.Where)
+	b := newBinder(sc, e.DB.Funcs)
+	where := b.bind(s.Where)
+	if b.err != nil {
+		return nil, b.err
+	}
 	ctx := &evalCtx{}
 	var doomed []storage.RID
 	var evalErr error
@@ -501,6 +507,9 @@ func (e *Engine) execSelect(qctx context.Context, s *SelectStmt) (*Result, error
 	for i, ok := range s.OrderBy {
 		orderKeys[i] = b.bind(ok.Expr)
 	}
+	if b.err != nil {
+		return nil, b.err
+	}
 	pl.narrow(b.cols)
 
 	ctx := &evalCtx{breakJoinKeys: e.UnsafeBreakJoinKeys}
@@ -643,9 +652,9 @@ func expandItems(s *SelectStmt, sc *scope) ([]SelectItem, []string) {
 			for i, qual := range sc.cols {
 				items = append(items, SelectItem{Expr: &ColRef{
 					Table: strings.SplitN(qual, ".", 2)[0],
-					Name:  sc.bare[i],
+					Name:  sc.bare[i].name,
 				}})
-				cols = append(cols, sc.bare[i])
+				cols = append(cols, sc.bare[i].name)
 			}
 			continue
 		}

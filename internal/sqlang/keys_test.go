@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"genalg/internal/db"
@@ -172,5 +173,88 @@ func TestNaNEquality(t *testing.T) {
 	}
 	if r := mustExec(t, e, `SELECT MAX(x) FROM t`).Rows; len(r) != 1 || !math.IsNaN(r[0][0].(float64)) {
 		t.Errorf("MAX(x) = %v, want NaN", r)
+	}
+}
+
+// TestMixedTypeComparisonIsPlanIndependent pins that comparing an int
+// column with a string fails the same way whatever the plan. Row by row,
+// the hash join keyed the two types apart and returned no rows, the nested
+// loop (an OR leaves no equi-key) failed on its first pair, and an index
+// path keyed the string as an int and panicked. The binder now decides it
+// from the column types before any row is read.
+func TestMixedTypeComparisonIsPlanIndependent(t *testing.T) {
+	const want = "sqlang: cannot compare int64 with string"
+	cases := []struct{ sql, plan string }{
+		{`SELECT a.i, b.s FROM a JOIN b ON a.i = b.s`, "hash join"},
+		{`SELECT a.i, b.s FROM a, b WHERE a.i = b.s OR a.i = 99`, "nested-loop join"},
+		{`SELECT i FROM a WHERE i = 7 AND i <> 'x'`, "index eq a.i"},
+		{`SELECT i FROM a WHERE i = 'x'`, "scan a"},
+		{`SELECT i FROM a WHERE 'x' > i`, "scan a"},
+	}
+	for _, batch := range []int{0, 1} {
+		e := testEngine(t)
+		e.BatchSize = batch
+		mustExec(t, e, `CREATE TABLE a (i int)`)
+		mustExec(t, e, `CREATE TABLE b (s string)`)
+		for i := 0; i < 200; i++ {
+			mustExec(t, e, fmt.Sprintf(`INSERT INTO a VALUES (%d)`, i))
+		}
+		mustExec(t, e, `INSERT INTO b VALUES ('1'), ('x')`)
+		mustExec(t, e, `CREATE INDEX ON a (i)`)
+		for _, c := range cases {
+			if plan := mustExec(t, e, "EXPLAIN "+c.sql).Plan; !strings.Contains(plan, c.plan) {
+				t.Fatalf("%q does not plan with %s:\n%s", c.sql, c.plan, plan)
+			}
+			if _, err := e.Exec(c.sql); err == nil || err.Error() != want {
+				t.Errorf("BatchSize=%d %s %q: err = %v, want %q", batch, c.plan, c.sql, err, want)
+			}
+		}
+	}
+}
+
+// TestIndexEqualityKeysLikeCompare checks that an index path finds what a
+// scan's filter finds when the literal's type differs from the indexed
+// column's: int against float both ways, and NULL, which matches nothing.
+func TestIndexEqualityKeysLikeCompare(t *testing.T) {
+	e := testEngine(t)
+	mustExec(t, e, `CREATE TABLE n (i int, f float)`)
+	for k := 0; k < 200; k++ {
+		mustExec(t, e, fmt.Sprintf(`INSERT INTO n VALUES (%d, %d.0)`, k, k))
+	}
+	mustExec(t, e, `INSERT INTO n VALUES (NULL, NULL)`)
+	for _, c := range []struct {
+		sql  string
+		rows int
+	}{
+		{`SELECT i FROM n WHERE f = 7`, 1},
+		{`SELECT i FROM n WHERE i = 7.0`, 1},
+		{`SELECT i FROM n WHERE i = 7.5`, 0},
+		{`SELECT i FROM n WHERE i = NULL`, 0},
+	} {
+		scan := mustExec(t, e, c.sql)
+		if len(scan.Rows) != c.rows {
+			t.Fatalf("scan %q: %d rows, want %d", c.sql, len(scan.Rows), c.rows)
+		}
+		if plan := mustExec(t, e, "EXPLAIN "+c.sql).Plan; !strings.Contains(plan, "scan n") {
+			t.Fatalf("%q before indexing:\n%s", c.sql, plan)
+		}
+	}
+	mustExec(t, e, `CREATE INDEX ON n (i)`)
+	mustExec(t, e, `CREATE INDEX ON n (f)`)
+	for _, c := range []struct {
+		sql, plan string
+		rows      int
+	}{
+		{`SELECT i FROM n WHERE f = 7`, "index eq n.f", 1},
+		{`SELECT i FROM n WHERE i = 7.0`, "index eq n.i", 1},
+		{`SELECT i FROM n WHERE i = 7.5`, "scan n", 0},
+		{`SELECT i FROM n WHERE i = NULL`, "scan n", 0},
+	} {
+		if plan := mustExec(t, e, "EXPLAIN "+c.sql).Plan; !strings.Contains(plan, c.plan) {
+			t.Fatalf("%q does not plan with %s:\n%s", c.sql, c.plan, plan)
+		}
+		if r := mustExec(t, e, c.sql); len(r.Rows) != c.rows {
+			t.Errorf("%q: %d rows, want %d", c.sql, len(r.Rows), c.rows)
+		}
 	}
 }

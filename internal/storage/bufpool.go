@@ -160,22 +160,20 @@ func (bp *BufferPool) Allocate() (PageID, *Page, error) {
 	return id, &fr.page, nil
 }
 
-// FlushAll writes back every dirty frame and syncs the pager. Pins are left
-// intact.
+// FlushAll writes back every dirty frame. Pins are left intact.
 func (bp *BufferPool) FlushAll() error {
 	bp.mu.Lock()
+	defer bp.mu.Unlock()
 	for id, fr := range bp.frames {
 		if fr.dirty {
 			//genalgvet:ignore lockio flush walks the frame table under bp.mu by design: an unlocked walk races concurrent Unpin(dirty) markings
 			if err := bp.pager.Write(id, &fr.page); err != nil {
-				bp.mu.Unlock()
 				return fmt.Errorf("storage: flush of page %d: %w", id, err)
 			}
 			fr.dirty = false
 		}
 	}
-	bp.mu.Unlock()
-	return bp.pager.Sync()
+	return nil
 }
 
 // Resident returns the number of cached frames (for tests).

@@ -57,7 +57,6 @@ func (p *strictPager) NumPages() int {
 	return p.pages
 }
 
-func (p *strictPager) Sync() error  { return nil }
 func (p *strictPager) Close() error { return nil }
 
 // TestAllocateDoesNotReadPager is the regression test for the old

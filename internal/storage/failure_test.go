@@ -39,7 +39,6 @@ func (f *faultPager) Write(id PageID, src *Page) error {
 }
 
 func (f *faultPager) NumPages() int { return f.inner.NumPages() }
-func (f *faultPager) Sync() error   { return f.inner.Sync() }
 func (f *faultPager) Close() error  { return f.inner.Close() }
 
 func TestBufferPoolReadFailurePropagates(t *testing.T) {

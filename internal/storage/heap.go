@@ -37,23 +37,6 @@ func NewHeapFile(pool *BufferPool) *HeapFile {
 	return &HeapFile{pool: pool, freeHint: make(map[PageID]int)}
 }
 
-// Pages returns the heap's data page IDs (for persistence of the catalog).
-func (h *HeapFile) Pages() []PageID {
-	out := make([]PageID, len(h.dataPages))
-	copy(out, h.dataPages)
-	return out
-}
-
-// Reattach rebuilds a HeapFile handle from a persisted page list.
-func Reattach(pool *BufferPool, pages []PageID) *HeapFile {
-	h := NewHeapFile(pool)
-	h.dataPages = append(h.dataPages, pages...)
-	for _, id := range pages {
-		h.freeHint[id] = -1 // unknown; probe on demand
-	}
-	return h
-}
-
 // Blob record layout in the primary slot:
 //
 //	byte 0      1 (blob marker; inline records start with 0)

@@ -1,9 +1,10 @@
-// Package storage implements the disk substrate of the Unifying Database:
-// slotted pages, a file-backed pager, a pinning buffer pool with LRU
-// eviction, and heap files with overflow (blob) chains for records larger
-// than a page — the paper's Section 4.3 requirement that genomic values live
-// in "compact storage areas which can be efficiently transferred between
-// main memory and disk".
+// Package storage implements the page substrate of the Unifying Database:
+// slotted pages, a Pager interface with an in-memory pager, a pinning
+// buffer pool with LRU eviction, and heap files with overflow (blob) chains
+// for records larger than a page — the paper's Section 4.3 requirement that
+// genomic values live in "compact storage areas" moved page by page. The
+// durable copy of the data is the engine's write-ahead log (internal/wal),
+// not the pages.
 package storage
 
 import (

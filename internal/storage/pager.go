@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"os"
 	"sync"
 )
 
@@ -17,91 +16,9 @@ type Pager interface {
 	Write(id PageID, src *Page) error
 	// NumPages returns the number of allocated pages.
 	NumPages() int
-	// Sync flushes the store to stable storage.
-	Sync() error
 	// Close releases resources.
 	Close() error
 }
-
-// FilePager is a Pager over an os.File.
-type FilePager struct {
-	mu    sync.Mutex
-	f     *os.File
-	pages int
-}
-
-// OpenFilePager opens (creating if needed) a page file at path.
-func OpenFilePager(path string) (*FilePager, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("storage: open pager: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("storage: stat pager: %w", err)
-	}
-	if st.Size()%PageSize != 0 {
-		f.Close()
-		return nil, fmt.Errorf("storage: file %s size %d is not page-aligned", path, st.Size())
-	}
-	return &FilePager{f: f, pages: int(st.Size() / PageSize)}, nil
-}
-
-// Allocate implements Pager.
-func (p *FilePager) Allocate() (PageID, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	id := PageID(p.pages)
-	var zero Page
-	//genalgvet:ignore lockio p.mu exists to serialize exactly this file extension: two racing Allocates must not hand out the same page id
-	if _, err := p.f.WriteAt(zero.Data[:], int64(id)*PageSize); err != nil {
-		return InvalidPage, fmt.Errorf("storage: allocate page %d: %w", id, err)
-	}
-	p.pages++
-	return id, nil
-}
-
-// Read implements Pager.
-func (p *FilePager) Read(id PageID, dst *Page) error {
-	p.mu.Lock()
-	n := p.pages
-	p.mu.Unlock()
-	if int(id) >= n {
-		return fmt.Errorf("storage: read of unallocated page %d (have %d)", id, n)
-	}
-	if _, err := p.f.ReadAt(dst.Data[:], int64(id)*PageSize); err != nil {
-		return fmt.Errorf("storage: read page %d: %w", id, err)
-	}
-	return nil
-}
-
-// Write implements Pager.
-func (p *FilePager) Write(id PageID, src *Page) error {
-	p.mu.Lock()
-	n := p.pages
-	p.mu.Unlock()
-	if int(id) >= n {
-		return fmt.Errorf("storage: write of unallocated page %d (have %d)", id, n)
-	}
-	if _, err := p.f.WriteAt(src.Data[:], int64(id)*PageSize); err != nil {
-		return fmt.Errorf("storage: write page %d: %w", id, err)
-	}
-	return nil
-}
-
-// NumPages implements Pager.
-func (p *FilePager) NumPages() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.pages
-}
-
-// Sync implements Pager.
-func (p *FilePager) Sync() error { return p.f.Sync() }
-
-// Close implements Pager.
-func (p *FilePager) Close() error { return p.f.Close() }
 
 // MemPager is an in-memory Pager for tests and ephemeral databases.
 type MemPager struct {
@@ -148,9 +65,6 @@ func (p *MemPager) NumPages() int {
 	defer p.mu.Unlock()
 	return len(p.pages)
 }
-
-// Sync implements Pager.
-func (p *MemPager) Sync() error { return nil }
 
 // Close implements Pager.
 func (p *MemPager) Close() error { return nil }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 )
@@ -119,45 +118,6 @@ func TestPageGetBounds(t *testing.T) {
 	}
 	if err := p.Delete(5); err == nil {
 		t.Error("delete of unallocated slot accepted")
-	}
-}
-
-func TestFilePagerRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages.db")
-	fp, err := OpenFilePager(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := fp.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pg Page
-	copy(pg.Data[:], "hello pager")
-	if err := fp.Write(id, &pg); err != nil {
-		t.Fatal(err)
-	}
-	if err := fp.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Reopen and read back.
-	fp2, err := OpenFilePager(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fp2.Close()
-	if fp2.NumPages() != 1 {
-		t.Errorf("NumPages after reopen = %d", fp2.NumPages())
-	}
-	var got Page
-	if err := fp2.Read(id, &got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(got.Data[:], []byte("hello pager")) {
-		t.Error("page contents lost across reopen")
 	}
 }
 
@@ -381,73 +341,6 @@ func TestHeapScanEarlyStop(t *testing.T) {
 	})
 	if visits != 4 {
 		t.Errorf("early stop visits = %d", visits)
-	}
-}
-
-func TestHeapReattach(t *testing.T) {
-	pager := NewMemPager()
-	bp, _ := NewBufferPool(pager, 16)
-	h := NewHeapFile(bp)
-	var rids []RID
-	for i := 0; i < 20; i++ {
-		rid, err := h.Insert([]byte(fmt.Sprintf("persisted-%d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rids = append(rids, rid)
-	}
-	if err := bp.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	// Reattach through a fresh pool over the same pager.
-	bp2, _ := NewBufferPool(pager, 16)
-	h2 := Reattach(bp2, h.Pages())
-	for i, rid := range rids {
-		got, err := h2.Get(rid)
-		if err != nil || !bytes.HasPrefix(got, []byte(fmt.Sprintf("persisted-%d", i))) {
-			t.Errorf("reattached Get(%v) = %q, %v", rid, got, err)
-		}
-	}
-	// Inserts into the reattached heap work too.
-	if _, err := h2.Insert([]byte("post-reattach")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHeapFilePersistenceAcrossReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "heap.db")
-	fp, err := OpenFilePager(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp, _ := NewBufferPool(fp, 8)
-	h := NewHeapFile(bp)
-	big := bytes.Repeat([]byte("G"), 2*PageSize)
-	ridSmall, _ := h.Insert([]byte("small"))
-	ridBig, err := h.Insert(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pages := h.Pages()
-	if err := bp.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	fp.Close()
-
-	fp2, err := OpenFilePager(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fp2.Close()
-	bp2, _ := NewBufferPool(fp2, 8)
-	h2 := Reattach(bp2, pages)
-	got, err := h2.Get(ridSmall)
-	if err != nil || !bytes.Equal(got, []byte("small")) {
-		t.Errorf("small after reopen: %q, %v", got, err)
-	}
-	got, err = h2.Get(ridBig)
-	if err != nil || !bytes.Equal(got, big) {
-		t.Errorf("blob after reopen: %d bytes, %v", len(got), err)
 	}
 }
 

@@ -23,41 +23,29 @@ const (
 const interGeneSpacer = "TTTTAAAATTTTAAAA"
 
 // EnsureAssemblyTables creates the chromosomes and genomes tables when
-// absent. Separate from the integrated schema so existing persisted
-// warehouses keep reopening.
+// absent. Separate from the integrated schema so warehouses that never
+// assembled genomes do not carry them.
 func (w *Warehouse) EnsureAssemblyTables() error {
-	if _, ok := w.DB.Table(TableChromosomes); !ok {
-		_, err := w.DB.CreateTable(db.Schema{
-			Table: TableChromosomes,
-			Columns: []db.Column{
-				{Name: "id", Type: db.TString, NotNull: true},
-				{Name: "organism", Type: db.TString},
-				{Name: "ngenes", Type: db.TInt},
-				{Name: "chromosome", Type: db.TOpaque, UDTName: "chromosome"},
-			},
-		})
-		if err != nil {
-			return err
-		}
-		tbl, _ := w.DB.Table(TableChromosomes)
-		if err := tbl.CreateBTreeIndex("id"); err != nil {
-			return err
-		}
+	err := w.ensureTable(db.Schema{
+		Table: TableChromosomes,
+		Columns: []db.Column{
+			{Name: "id", Type: db.TString, NotNull: true},
+			{Name: "organism", Type: db.TString},
+			{Name: "ngenes", Type: db.TInt},
+			{Name: "chromosome", Type: db.TOpaque, UDTName: "chromosome"},
+		},
+	}, "id")
+	if err != nil {
+		return err
 	}
-	if _, ok := w.DB.Table(TableGenomes); !ok {
-		_, err := w.DB.CreateTable(db.Schema{
-			Table: TableGenomes,
-			Columns: []db.Column{
-				{Name: "id", Type: db.TString, NotNull: true},
-				{Name: "organism", Type: db.TString},
-				{Name: "genome", Type: db.TOpaque, UDTName: "genome"},
-			},
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return w.ensureTable(db.Schema{
+		Table: TableGenomes,
+		Columns: []db.Column{
+			{Name: "id", Type: db.TString, NotNull: true},
+			{Name: "organism", Type: db.TString},
+			{Name: "genome", Type: db.TOpaque, UDTName: "genome"},
+		},
+	}, "")
 }
 
 // AssemblyStats reports what AssembleGenomes produced.

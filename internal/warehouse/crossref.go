@@ -16,21 +16,13 @@ const TableCrossRefs = "crossrefs"
 
 // EnsureCrossRefTable creates the crossrefs table when absent.
 func (w *Warehouse) EnsureCrossRefTable() error {
-	if _, ok := w.DB.Table(TableCrossRefs); ok {
-		return nil
-	}
-	_, err := w.DB.CreateTable(db.Schema{
+	return w.ensureTable(db.Schema{
 		Table: TableCrossRefs,
 		Columns: []db.Column{
 			{Name: "accession", Type: db.TString, NotNull: true},
 			{Name: "canonical", Type: db.TString, NotNull: true},
 		},
-	})
-	if err != nil {
-		return err
-	}
-	tbl, _ := w.DB.Table(TableCrossRefs)
-	return tbl.CreateBTreeIndex("accession")
+	}, "accession")
 }
 
 // InitialLoadMatched bootstraps the warehouse like InitialLoad but resolves

@@ -3,11 +3,14 @@
 // read-only public space holding the restructured external data and
 // per-user updatable spaces; the loader; incremental (self-maintainable)
 // view maintenance versus full reload; archival of disappeared sources
-// (C15); and manual/automatic refresh modes.
+// (C15); and manual/automatic refresh modes. A warehouse opened with
+// OpenDurable persists every acknowledged statement through the engine's
+// write-ahead log, ownership and sharing included.
 package warehouse
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -22,6 +25,7 @@ import (
 	"genalg/internal/sources"
 	"genalg/internal/sqlang"
 	"genalg/internal/storage"
+	"genalg/internal/wal"
 )
 
 // Public-space table names of the integrated schema.
@@ -32,6 +36,9 @@ const (
 	TableGeneAlts     = "gene_alts"
 	TableArchive      = "archive"
 	TableQuarantine   = "quarantine"
+	// TableUserTables records each user table's owner and whether it is
+	// shared: user_tables(name, owner, shared).
+	TableUserTables = "user_tables"
 )
 
 // Warehouse is a Unifying Database instance.
@@ -46,16 +53,24 @@ type Warehouse struct {
 	Workers int
 
 	mu sync.Mutex
-	// owners maps user-space table names to their owning user.
-	owners map[string]string
-	// shared marks user tables readable by everyone.
-	shared map[string]bool
 	// pending holds deltas deferred under manual refresh.
 	pending []etl.Delta
 	// manualRefresh defers maintenance until Refresh is called.
 	manualRefresh bool
 	wrapper       *etl.Wrapper
+
+	// userMu serializes the writers of user_tables (CreateUserTable,
+	// ShareTable), so a name's check and the claim or share that follows
+	// are one step. Readers do not take it.
+	userMu sync.Mutex
 }
+
+// Durable warehouses commit with genalgd's default group-commit window
+// and checkpoint threshold (its -group-window and -checkpoint-bytes).
+const (
+	durableGroupWindow     = wal.DefaultGroupWindow
+	durableCheckpointBytes = 64 << 20
+)
 
 // Open creates an in-memory warehouse with the integrated schema and the
 // Genomics Algebra installed.
@@ -68,11 +83,44 @@ func Open(poolPages int, wrapper *etl.Wrapper) (*Warehouse, error) {
 	if err := adapter.Install(d, k); err != nil {
 		return nil, err
 	}
-	w := &Warehouse{
-		DB: d, Engine: sqlang.NewEngine(d), Kernel: k,
-		owners: map[string]string{}, shared: map[string]bool{},
-		wrapper: wrapper,
+	return initWarehouse(d, k, wrapper)
+}
+
+// OpenDurable opens the WAL-backed warehouse in dir. A new directory is
+// created and gets the integrated schema; an existing one is rebuilt by
+// replaying its log. Every statement is durable once acknowledged — loads,
+// maintenance, user tables, their rows, ownership and sharing — so there
+// is no save step, and a crash loses only unacknowledged work.
+func OpenDurable(dir string, poolPages int, wrapper *etl.Wrapper) (*Warehouse, error) {
+	return openDurable(dir, db.DurableOptions{
+		PoolPages:       poolPages,
+		GroupWindow:     durableGroupWindow,
+		CheckpointBytes: durableCheckpointBytes,
+	}, wrapper)
+}
+
+// openDurable is OpenDurable over explicit engine options (crash tests
+// inject wal.Hooks through it).
+func openDurable(dir string, opts db.DurableOptions, wrapper *etl.Wrapper) (*Warehouse, error) {
+	k := genops.NewKernel()
+	opts.Install = func(d *db.DB) error { return adapter.Install(d, k) }
+	d, _, err := db.OpenDurable(dir, opts)
+	if err != nil {
+		return nil, err
 	}
+	w, err := initWarehouse(d, k, wrapper)
+	if err != nil {
+		d.Close()
+		return nil, err
+	}
+	return w, nil
+}
+
+// initWarehouse wraps an engine that has the Genomics Algebra installed and
+// creates whatever part of the integrated schema it lacks: all of it on a
+// new engine, none on a reopened one.
+func initWarehouse(d *db.DB, k *genops.Kernel, wrapper *etl.Wrapper) (*Warehouse, error) {
+	w := &Warehouse{DB: d, Engine: sqlang.NewEngine(d), Kernel: k, wrapper: wrapper}
 	if err := w.createIntegratedSchema(); err != nil {
 		return nil, err
 	}
@@ -84,6 +132,10 @@ func Open(poolPages int, wrapper *etl.Wrapper) (*Warehouse, error) {
 	})
 	return w, nil
 }
+
+// Close closes the engine and, on a durable warehouse, its log. Every
+// acknowledged statement is already durable: Close saves nothing.
+func (w *Warehouse) Close() error { return w.DB.Close() }
 
 func (w *Warehouse) createIntegratedSchema() error {
 	schemas := []db.Schema{
@@ -156,27 +208,50 @@ func (w *Warehouse) createIntegratedSchema() error {
 				{Name: "tick", Type: db.TInt},
 			},
 		},
+		{
+			Table: TableUserTables,
+			Columns: []db.Column{
+				{Name: "name", Type: db.TString, NotNull: true},
+				{Name: "owner", Type: db.TString, NotNull: true},
+				{Name: "shared", Type: db.TBool, NotNull: true},
+			},
+		},
 	}
+	// The integrated schema is indexed on id for incremental maintenance,
+	// user_tables on name for the space checks.
+	indexed := map[string]string{TableFragments: "id", TableGenes: "id",
+		TableFragmentAlts: "id", TableGeneAlts: "id", TableUserTables: "name"}
 	for _, s := range schemas {
-		if _, err := w.DB.CreateTable(s); err != nil {
-			return err
-		}
-	}
-	// The integrated schema is indexed on id for incremental maintenance.
-	for _, tname := range []string{TableFragments, TableGenes, TableFragmentAlts, TableGeneAlts} {
-		tbl, _ := w.DB.Table(tname)
-		if err := tbl.CreateBTreeIndex("id"); err != nil {
+		if err := w.ensureTable(s, indexed[s.Table]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// ensureTable creates a table, and a B-tree index on btreeCol unless that
+// is empty, when either is missing. Each is its own logged DDL statement,
+// so a crash can leave a prefix of them; the next open completes it.
+func (w *Warehouse) ensureTable(s db.Schema, btreeCol string) error {
+	tbl, ok := w.DB.Table(s.Table)
+	if !ok {
+		var err error
+		if tbl, err = w.DB.CreateTable(s); err != nil {
+			return err
+		}
+	}
+	if btreeCol == "" || tbl.HasBTreeIndex(btreeCol) {
+		return nil
+	}
+	return w.DB.CreateBTreeIndexOn(s.Table, btreeCol)
+}
+
 // PublicTables lists the read-only public-space tables. The chromosomes
 // and genomes tables exist once AssembleGenomes has run.
 func PublicTables() []string {
 	return []string{TableFragments, TableGenes, TableFragmentAlts, TableGeneAlts,
-		TableArchive, TableQuarantine, TableChromosomes, TableGenomes, TableCrossRefs}
+		TableArchive, TableQuarantine, TableChromosomes, TableGenomes, TableCrossRefs,
+		TableUserTables}
 }
 
 func isPublicTable(name string) bool {
@@ -201,15 +276,15 @@ func (w *Warehouse) Query(ctx context.Context, user, sql string) (*sqlang.Result
 	}
 	switch s := stmt.(type) {
 	case *sqlang.InsertStmt:
-		if err := w.checkWritable(user, s.Table); err != nil {
+		if _, err := w.checkWritable(user, s.Table); err != nil {
 			return nil, err
 		}
 	case *sqlang.DeleteStmt:
-		if err := w.checkWritable(user, s.Table); err != nil {
+		if _, err := w.checkWritable(user, s.Table); err != nil {
 			return nil, err
 		}
 	case *sqlang.UpdateStmt:
-		if err := w.checkWritable(user, s.Table); err != nil {
+		if _, err := w.checkWritable(user, s.Table); err != nil {
 			return nil, err
 		}
 	case *sqlang.CreateTableStmt:
@@ -218,7 +293,7 @@ func (w *Warehouse) Query(ctx context.Context, user, sql string) (*sqlang.Result
 		if isPublicTable(s.Table) {
 			return nil, fmt.Errorf("warehouse: public table %s is managed by the warehouse", s.Table)
 		}
-		if err := w.checkWritable(user, s.Table); err != nil {
+		if _, err := w.checkWritable(user, s.Table); err != nil {
 			return nil, err
 		}
 	case *sqlang.SelectStmt:
@@ -237,35 +312,64 @@ func (w *Warehouse) Query(ctx context.Context, user, sql string) (*sqlang.Result
 	return w.Engine.ExecStmtSQLCtx(ctx, stmt, sql)
 }
 
-func (w *Warehouse) checkWritable(user, table string) error {
+// userTable is one user_tables row.
+type userTable struct {
+	rid    storage.RID
+	owner  string
+	shared bool
+}
+
+// lookupUserTable reads name's user_tables row; ok=false when no user has
+// claimed the name. ShareTable replaces a row in one statement, which can
+// move it between the index lookup and the fetch; the lookup then runs
+// again.
+func (w *Warehouse) lookupUserTable(name string) (userTable, bool, error) {
+	tbl, _ := w.DB.Table(TableUserTables)
+	for attempt := 0; ; attempt++ {
+		rids, err := tbl.IndexLookup("name", name)
+		if err != nil || len(rids) == 0 {
+			return userTable{}, false, err
+		}
+		row, err := tbl.Get(rids[0])
+		if err == nil {
+			return userTable{rid: rids[0], owner: row[1].(string), shared: row[2].(bool)}, true, nil
+		}
+		if attempt == 2 {
+			return userTable{}, false, err
+		}
+	}
+}
+
+// checkWritable returns the user_tables row of a table the user may
+// write.
+func (w *Warehouse) checkWritable(user, table string) (userTable, error) {
 	if isPublicTable(table) {
-		return fmt.Errorf("warehouse: public table %s is read-only (loaded via ETL)", table)
+		return userTable{}, fmt.Errorf("warehouse: public table %s is read-only (loaded via ETL)", table)
 	}
-	w.mu.Lock()
-	owner, exists := w.owners[table]
-	w.mu.Unlock()
-	if !exists {
-		return fmt.Errorf("warehouse: unknown table %s", table)
+	ut, ok, err := w.lookupUserTable(table)
+	switch {
+	case err != nil:
+		return userTable{}, err
+	case !ok:
+		return userTable{}, fmt.Errorf("warehouse: unknown table %s", table)
+	case ut.owner != user:
+		return userTable{}, fmt.Errorf("warehouse: table %s belongs to %s, not %s", table, ut.owner, user)
 	}
-	if owner != user {
-		return fmt.Errorf("warehouse: table %s belongs to %s, not %s", table, owner, user)
-	}
-	return nil
+	return ut, nil
 }
 
 func (w *Warehouse) checkReadable(user, table string) error {
 	if isPublicTable(table) {
 		return nil
 	}
-	w.mu.Lock()
-	owner, exists := w.owners[table]
-	isShared := w.shared[table]
-	w.mu.Unlock()
-	if !exists {
+	ut, ok, err := w.lookupUserTable(table)
+	switch {
+	case err != nil:
+		return err
+	case !ok:
 		return fmt.Errorf("warehouse: unknown table %s", table)
-	}
-	if owner != user && !isShared {
-		return fmt.Errorf("warehouse: table %s is private to %s", table, owner)
+	case ut.owner != user && !ut.shared:
+		return fmt.Errorf("warehouse: table %s is private to %s", table, ut.owner)
 	}
 	return nil
 }
@@ -279,25 +383,57 @@ func (w *Warehouse) CreateUserTable(user string, schema db.Schema) error {
 	if isPublicTable(schema.Table) {
 		return fmt.Errorf("warehouse: %s collides with a public table", schema.Table)
 	}
-	if _, err := w.DB.CreateTable(schema); err != nil {
+	w.userMu.Lock()
+	defer w.userMu.Unlock()
+	//genalgvet:ignore lockorder userMu orders only user_tables writers: a name's check and its durable claim must be one step against a competing CreateUserTable; reads and all other statements never take it
+	return w.createUserTableLocked(user, schema)
+}
+
+// createUserTableLocked is CreateUserTable under userMu. The user_tables
+// row that claims the name is committed before the table's DDL, so a
+// crash between the two leaves a claimed name without a table, which its
+// owner can create again.
+func (w *Warehouse) createUserTableLocked(user string, schema db.Schema) error {
+	ut, claimed, err := w.lookupUserTable(schema.Table)
+	if err != nil {
 		return err
 	}
-	w.mu.Lock()
-	w.owners[schema.Table] = user
-	w.mu.Unlock()
+	if claimed && ut.owner != user {
+		return fmt.Errorf("warehouse: table %s belongs to %s, not %s", schema.Table, ut.owner, user)
+	}
+	if _, exists := w.DB.Table(schema.Table); exists {
+		return fmt.Errorf("warehouse: table %s already exists", schema.Table)
+	}
+	if !claimed {
+		err := w.DB.ApplyDML(TableUserTables, []db.Mutation{{Kind: db.MutInsert, Row: db.Row{schema.Table, user, false}}})
+		if err != nil {
+			return err
+		}
+		if ut, _, err = w.lookupUserTable(schema.Table); err != nil {
+			return err
+		}
+	}
+	if _, err := w.DB.CreateTable(schema); err != nil {
+		// Release the claim of a table that could not be created.
+		return errors.Join(err, w.DB.ApplyDML(TableUserTables, []db.Mutation{{Kind: db.MutDelete, RID: ut.rid}}))
+	}
 	return nil
 }
 
 // ShareTable marks a user table readable by all users ("does not exclude
 // sharing of data between users").
 func (w *Warehouse) ShareTable(user, table string) error {
-	if err := w.checkWritable(user, table); err != nil {
+	w.userMu.Lock()
+	defer w.userMu.Unlock()
+	ut, err := w.checkWritable(user, table)
+	if err != nil || ut.shared {
 		return err
 	}
-	w.mu.Lock()
-	w.shared[table] = true
-	w.mu.Unlock()
-	return nil
+	//genalgvet:ignore lockorder userMu only orders user_tables writers: the share must replace the row read under it; reads and all other statements never take it
+	return w.DB.ApplyDML(TableUserTables, []db.Mutation{
+		{Kind: db.MutDelete, RID: ut.rid},
+		{Kind: db.MutInsert, Row: db.Row{table, ut.owner, true}},
+	})
 }
 
 // tableFor returns the public table pair for an entry's GDT kind.

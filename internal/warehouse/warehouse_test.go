@@ -95,6 +95,11 @@ func TestPublicSpaceReadOnly(t *testing.T) {
 	if _, err := w.Query(context.Background(), "alice", `CREATE TABLE mine (x int)`); err == nil {
 		t.Error("raw CREATE TABLE allowed")
 	}
+	// Ownership is public data: readable, never writable by users.
+	if _, err := w.Query(context.Background(), "alice", `INSERT INTO user_tables VALUES ('fragments', 'alice', true)`); err == nil {
+		t.Error("user wrote user_tables")
+	}
+	mustQuery(t, w, "alice", `SELECT name, owner FROM user_tables`)
 }
 
 func TestUserSpaceIsolationAndSharing(t *testing.T) {
@@ -449,7 +454,7 @@ func TestUpdateRespectsSpaces(t *testing.T) {
 func TestWarehousePersistence(t *testing.T) {
 	dir := t.TempDir()
 	wrapper := etl.NewWrapper(ontology.Standard())
-	w, err := OpenFile(dir, 256, wrapper)
+	w, err := OpenDurable(dir, 256, wrapper)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,19 +474,15 @@ func TestWarehousePersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	beforeCount := w.CountPublic()
-	if err := w.Save(dir); err != nil {
-		t.Fatal(err)
-	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Reopen.
-	w2, err := OpenExisting(dir, 256, wrapper)
+	// Reopen: the log is replayed, no save step was needed.
+	w2, err := OpenDurable(dir, 256, wrapper)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w2.Close()
 	if got := w2.CountPublic(); got != beforeCount {
 		t.Errorf("public entities after reopen = %d, want %d", got, beforeCount)
 	}
@@ -511,9 +512,18 @@ func TestWarehousePersistence(t *testing.T) {
 	if _, err := w2.ApplyDeltas(context.Background(), deltas); err != nil {
 		t.Fatal(err)
 	}
-	// Double-create in a used directory is rejected.
-	if _, err := OpenFile(dir, 64, wrapper); err == nil {
-		t.Error("OpenFile over existing warehouse succeeded")
+	// ... and the maintenance is durable too: a third session sees it.
+	afterCount := w2.CountPublic()
+	if err := w2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w3, err := OpenDurable(dir, 256, wrapper)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w3.Close()
+	if got := w3.CountPublic(); got != afterCount {
+		t.Errorf("public entities after maintenance and reopen = %d, want %d", got, afterCount)
 	}
 }
 
@@ -653,13 +663,6 @@ func TestUpsertMergesAcrossSourcesIncrementally(t *testing.T) {
 	ra = mustQuery(t, w, "u", fmt.Sprintf(`SELECT provenance FROM fragment_alts WHERE id = '%s'`, rec.ID))
 	if len(ra.Rows) != 1 {
 		t.Errorf("alternatives after re-update = %v", ra.Rows)
-	}
-}
-
-func TestOpenExistingErrors(t *testing.T) {
-	wrapper := etl.NewWrapper(ontology.Standard())
-	if _, err := OpenExisting(t.TempDir(), 64, wrapper); err == nil {
-		t.Error("OpenExisting on empty dir succeeded")
 	}
 }
 
