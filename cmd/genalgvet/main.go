@@ -1,24 +1,16 @@
-// Command genalgvet runs the project's static-analysis suite. It has two
-// modes:
+// Command genalgvet runs the project's static-analysis suite:
+// `genalgvet ./...` loads the packages and their tests itself (via `go
+// list`) and prints findings; this is what `make lint-analyzers` runs.
 //
-//   - standalone: `genalgvet ./...` loads packages itself (via `go list`)
-//     and prints findings; this is what `make lint-analyzers` runs.
-//   - vettool:    `go vet -vettool=$(pwd)/bin/genalgvet ./...` — cmd/go
-//     drives the tool through its unitchecker protocol (-V=full probe,
-//     -flags probe, then one JSON config file per package).
+// The suite is interprocedural: per-function pathflow summaries (and the
+// other fact domains) flow across package boundaries, bottom-up over the
+// import graph of the loaded packages.
 //
-// Both modes are interprocedural: per-function pathflow summaries (and
-// the other fact domains) flow across package boundaries — bottom-up
-// over the in-process import graph in standalone mode, and through the
-// vetx facts files cmd/go caches per package in vettool mode (cmd/go
-// runs the tool with VetxOnly=true over dependencies first, and hands
-// dependents the resulting files via PackageVetx).
-//
-// In both modes //genalgvet:ignore directives suppress findings, and a
-// malformed or unknown directive is itself a finding; -audit-ignores
-// additionally fails on directives that no longer suppress anything.
-// -json emits findings as a JSON array for CI artifacts. Exit status: 0
-// clean, 1 findings, 2 operational error.
+// //genalgvet:ignore directives suppress findings, and a malformed or
+// unknown directive is itself a finding; -audit-ignores additionally
+// fails on directives that no longer suppress anything. -json emits
+// findings as a JSON array for CI artifacts. Exit status: 0 clean, 1
+// findings, 2 operational error.
 package main
 
 import (
@@ -34,30 +26,15 @@ import (
 )
 
 func main() {
-	args := os.Args[1:]
-
-	// cmd/go's tool-identity probe: must print one line and exit 0. The
-	// version participates in cmd/go's action cache key, so bump it when
-	// the fact encoding changes incompatibly.
-	if len(args) == 1 && (args[0] == "-V=full" || args[0] == "-V") {
-		fmt.Println("genalgvet version 2 (genalg static-analysis suite, interprocedural)")
-		return
-	}
-	// cmd/go's flag-discovery probe: we accept no tool-specific flags.
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-
 	fs := flag.NewFlagSet("genalgvet", flag.ExitOnError)
 	list := fs.Bool("list", false, "list analyzers and exit")
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout (standalone mode)")
+	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
 	audit := fs.Bool("audit-ignores", false, "also fail on //genalgvet:ignore directives that suppress nothing")
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: genalgvet [-list] [-json] [-audit-ignores] [packages]\n   or: go vet -vettool=$(command -v genalgvet) [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: genalgvet [-list] [-json] [-audit-ignores] [packages]\n")
 		fs.PrintDefaults()
 	}
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
 	}
 	if *list {
@@ -67,11 +44,7 @@ func main() {
 		return
 	}
 
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		os.Exit(vettoolMode(rest[0]))
-	}
-	os.Exit(standaloneMode(rest, *jsonOut, *audit))
+	os.Exit(vet(fs.Args(), *jsonOut, *audit))
 }
 
 // finding is the -json output shape for one diagnostic.
@@ -83,9 +56,9 @@ type finding struct {
 	Message  string `json:"message"`
 }
 
-// standaloneMode loads patterns (default ./...), computes facts bottom-up
-// over the target import graph, and reports findings.
-func standaloneMode(patterns []string, jsonOut, audit bool) int {
+// vet loads patterns (default ./...) with their tests, computes facts
+// bottom-up over the target import graph, and reports findings.
+func vet(patterns []string, jsonOut, audit bool) int {
 	pkgs, err := load.Packages(".", patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "genalgvet: %v\n", err)
@@ -130,76 +103,6 @@ func standaloneMode(patterns []string, jsonOut, audit bool) int {
 		}
 	}
 	return exit
-}
-
-// vettoolMode analyzes the single package a `go vet` invocation
-// describes, reading dependency facts from the files cmd/go cached and
-// writing this package's transitive facts for dependents. Findings go to
-// stderr in the file:line:col format cmd/go relays to the user.
-func vettoolMode(cfgPath string) int {
-	cfg, err := load.ReadUnitConfig(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "genalgvet: %v\n", err)
-		return 2
-	}
-	// Facts are only worth computing for this module's packages; for the
-	// standard library (vetted in VetxOnly mode as a dependency) an empty
-	// facts file keeps the protocol happy without parsing anything.
-	if !strings.HasPrefix(cfg.ImportPath, "genalg") {
-		if code := writeFacts(cfg, analysis.NewFactSet()); code != 0 {
-			return code
-		}
-		return 0
-	}
-	pkg, err := load.UnitPackage(cfg)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			_ = writeFacts(cfg, analysis.NewFactSet())
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "genalgvet: %v\n", err)
-		return 2
-	}
-	facts, err := analysis.ComputeFacts(pkg.Package, load.ImportedFacts(cfg), analysis.Computers(passes.All()))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "genalgvet: %v\n", err)
-		return 2
-	}
-	pkg.Facts = facts
-	if code := writeFacts(cfg, facts); code != 0 {
-		return code
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	diags, err := runPackage(pkg, false)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "genalgvet: %v\n", err)
-		return 2
-	}
-	for _, d := range diags {
-		pos := pkg.Fset.Position(d.Pos)
-		fmt.Fprintf(os.Stderr, "%s: %s: %s\n", pos, d.Analyzer, d.Message)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
-}
-
-func writeFacts(cfg *load.UnitConfig, facts *analysis.FactSet) int {
-	if cfg.VetxOutput == "" {
-		return 0
-	}
-	data, err := facts.Encode()
-	if err == nil {
-		err = os.WriteFile(cfg.VetxOutput, data, 0o666)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "genalgvet: %v\n", err)
-		return 2
-	}
-	return 0
 }
 
 func runPackage(pkg *load.Package, audit bool) ([]analysis.Diagnostic, error) {

@@ -1,6 +1,6 @@
 // Persistent_warehouse demonstrates the durable Unifying Database: open a
-// WAL-backed warehouse, load it and annotate it in user space, then walk
-// away without closing it. A second session reopens the directory, finds
+// WAL-backed warehouse, load it and annotate it in user space, then close
+// it without any save step. A second session reopens the directory, finds
 // every acknowledged statement by replaying the log, and continues
 // maintenance — the paper's long-term vision of a database biologists
 // keep rather than rebuild, with no save step to forget.
@@ -41,13 +41,19 @@ func run() error {
 	return session2(dir, wrapper, repo)
 }
 
-// session1 creates, loads and annotates the warehouse, then abandons it:
-// no Close, no save. Each statement was durable when it returned.
-func session1(dir string, wrapper *etl.Wrapper, repo *sources.Repo) error {
+// session1 creates, loads and annotates the warehouse, then closes it,
+// which releases the log's lock for the next session. There is no save
+// step: each statement was durable when it returned.
+func session1(dir string, wrapper *etl.Wrapper, repo *sources.Repo) (err error) {
 	w, err := warehouse.OpenDurable(dir, 1024, wrapper)
 	if err != nil {
 		return err
 	}
+	defer func() {
+		if cerr := w.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	stats, err := w.InitialLoad(context.Background(), []*sources.Repo{repo})
 	if err != nil {
 		return err
@@ -67,7 +73,7 @@ func session1(dir string, wrapper *etl.Wrapper, repo *sources.Repo) error {
 		`INSERT INTO lab_notes VALUES ('SYN000004', 'candidate for knockout study')`); err != nil {
 		return err
 	}
-	fmt.Println("session 1: annotated, then left without closing")
+	fmt.Println("session 1: annotated; closing with no save step")
 	return nil
 }
 

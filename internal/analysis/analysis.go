@@ -8,11 +8,11 @@
 // stock vet passes and could be ported to x/tools by changing imports.
 //
 // Cross-package knowledge arrives two ways: through types (export data)
-// and, since genalgvet v2, through a facts side-channel (FactSet): an
-// analyzer may declare FactComputers whose per-package output — e.g.
-// pathflow's per-function release summaries — is serialized into the
-// vetx file cmd/go caches per package and fed back to every dependent,
-// making the path-sensitive checks interprocedural. Analyzer-to-analyzer
+// and through a facts side-channel (FactSet): an analyzer may declare
+// FactComputers whose per-package output — e.g. pathflow's per-function
+// release summaries — the driver computes bottom-up over the import graph
+// and feeds to every dependent, making the path-sensitive checks
+// interprocedural. Analyzer-to-analyzer
 // result dependencies (x/tools' Requires) remain deliberately absent.
 package analysis
 

@@ -3,65 +3,23 @@ package analysis
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
-
-	"genalg/internal/analysis/pathflow"
 )
 
 // FactSet is the cross-package side-channel: per-domain maps of opaque
 // JSON entries keyed by fully qualified function (or lock, or whatever
-// the domain chooses) names. In vettool mode one FactSet is serialized
-// per package into the file cmd/go names in VetxOutput and read back for
-// every import through PackageVetx — the same channel x/tools facts use.
-// Entries are transitive: a package's exported set contains its imports'
-// entries merged with its own, so readers never chase the import graph.
+// the domain chooses) names. The driver computes one FactSet per package,
+// bottom-up over the import graph, and hands each package its imports'
+// sets merged. Entries are transitive: a package's set contains its
+// imports' entries merged with its own, so readers never chase the
+// import graph.
 type FactSet struct {
 	domains map[string]map[string]json.RawMessage
-
-	pathflowOnce bool
-	pathflow     *pathflow.Summaries
+	decoded map[string]any // per-domain Decoded cache
 }
-
-// factFile is the on-disk JSON shape.
-type factFile struct {
-	Version int                                   `json:"genalgvet_facts"`
-	Domains map[string]map[string]json.RawMessage `json:"domains,omitempty"`
-}
-
-// factVersion guards the vetx encoding; bump on incompatible change (the
-// CI cache key covers this source, so stale files never cross versions).
-const factVersion = 1
 
 // NewFactSet returns an empty set.
 func NewFactSet() *FactSet {
 	return &FactSet{domains: map[string]map[string]json.RawMessage{}}
-}
-
-// DecodeFactSet parses a serialized FactSet. Empty input (including the
-// zero-byte files pre-facts genalgvet versions wrote) decodes to an
-// empty set rather than an error.
-func DecodeFactSet(data []byte) (*FactSet, error) {
-	fs := NewFactSet()
-	if len(data) == 0 {
-		return fs, nil
-	}
-	var file factFile
-	if err := json.Unmarshal(data, &file); err != nil {
-		return nil, fmt.Errorf("decoding facts: %w", err)
-	}
-	if file.Version != factVersion {
-		// Older or newer writer: treat as no facts, never as corruption.
-		return fs, nil
-	}
-	for domain, entries := range file.Domains {
-		fs.domains[domain] = entries
-	}
-	return fs, nil
-}
-
-// Encode serializes the set for the vetx file.
-func (fs *FactSet) Encode() ([]byte, error) {
-	return json.Marshal(factFile{Version: factVersion, Domains: fs.domains})
 }
 
 // Domain returns the entries recorded under name (nil-safe; may be nil).
@@ -75,6 +33,7 @@ func (fs *FactSet) Domain(name string) map[string]json.RawMessage {
 // SetDomain replaces the entries recorded under name.
 func (fs *FactSet) SetDomain(name string, entries map[string]json.RawMessage) {
 	fs.domains[name] = entries
+	delete(fs.decoded, name)
 }
 
 // Merge unions other's entries into fs (other wins on key collisions —
@@ -85,6 +44,7 @@ func (fs *FactSet) Merge(other *FactSet) {
 		return
 	}
 	for domain, entries := range other.domains {
+		delete(fs.decoded, domain)
 		dst := fs.domains[domain]
 		if dst == nil {
 			dst = map[string]json.RawMessage{}
@@ -96,36 +56,22 @@ func (fs *FactSet) Merge(other *FactSet) {
 	}
 }
 
-// Domains lists the populated domain names, sorted (for tests).
-func (fs *FactSet) Domains() []string {
+// Decoded returns decode applied to the entries recorded under name,
+// computing it once per set (until the domain changes). Nil-safe: on a
+// nil set it decodes no entries.
+func (fs *FactSet) Decoded(name string, decode func(map[string]json.RawMessage) any) any {
 	if fs == nil {
-		return nil
+		return decode(nil)
 	}
-	var out []string
-	for name := range fs.domains {
-		out = append(out, name)
+	if v, ok := fs.decoded[name]; ok {
+		return v
 	}
-	sort.Strings(out)
-	return out
-}
-
-// Pathflow decodes (once) and returns the pathflow summaries carried in
-// the set. Nil-safe: with no facts it returns nil, and a nil *Summaries
-// looks up nothing — analyzers degrade to PR-5 intraprocedural behaviour.
-func (fs *FactSet) Pathflow() *pathflow.Summaries {
-	if fs == nil {
-		return nil
+	v := decode(fs.domains[name])
+	if fs.decoded == nil {
+		fs.decoded = map[string]any{}
 	}
-	if !fs.pathflowOnce {
-		fs.pathflowOnce = true
-		if entries := fs.domains["pathflow"]; entries != nil {
-			sums, err := pathflow.DecodeEntries(entries)
-			if err == nil {
-				fs.pathflow = sums
-			}
-		}
-	}
-	return fs.pathflow
+	fs.decoded[name] = v
+	return v
 }
 
 // FactComputer derives one domain's entries for a package. Compute
@@ -137,19 +83,9 @@ type FactComputer struct {
 	Compute func(pkg *Package, imported *FactSet) (map[string]json.RawMessage, error)
 }
 
-// PathflowFacts computes per-function release/escape summaries; the
-// pinunpin, spanend, and durability analyzers consume them.
-var PathflowFacts = &FactComputer{
-	Domain: "pathflow",
-	Compute: func(pkg *Package, imported *FactSet) (map[string]json.RawMessage, error) {
-		sums := pathflow.ComputeSummaries(pkg.Files, pkg.TypesInfo, imported.Pathflow())
-		return sums.EncodeEntries()
-	},
-}
-
 // Computers collects the analyzers' fact computers, deduplicated by
-// domain (analyzers share computers; pinunpin and spanend both declare
-// PathflowFacts).
+// domain (analyzers share computers; pinunpin, spanend and durability
+// all declare pathflow.Facts).
 func Computers(analyzers []*Analyzer) []*FactComputer {
 	var out []*FactComputer
 	seen := map[string]bool{}
@@ -167,7 +103,7 @@ func Computers(analyzers []*Analyzer) []*FactComputer {
 // ComputeFacts runs computers over pkg with the imports' merged facts
 // and returns the package's own transitive set: imported entries plus
 // everything computed locally. Attach the result to Package.Facts before
-// Run, and serialize it for dependents in vettool mode.
+// Run, and merge it into dependents' imported sets.
 func ComputeFacts(pkg *Package, imported *FactSet, computers []*FactComputer) (*FactSet, error) {
 	out := NewFactSet()
 	out.Merge(imported)

@@ -28,12 +28,12 @@ func diagAt(pkg *Package, line int, analyzer string) Diagnostic {
 
 const ignoreSrc = `package p
 
-func a() {} //genalgvet:ignore lockio the lock protects exactly this read
+func a() {} //genalgvet:ignore lockorder the lock protects exactly this read
 
 //genalgvet:ignore pinunpin,spanend the pin escapes into the returned iterator
 func b() {}
 
-func c() {} //genalgvet:ignore lockio
+func c() {} //genalgvet:ignore lockorder
 
 //genalgvet:ignore
 func d() {}
@@ -44,15 +44,15 @@ func e() {} //genalgvet:ignore nosuchpass some reason
 func f() {}
 `
 
-var ignoreKnown = map[string]bool{"lockio": true, "pinunpin": true, "spanend": true}
+var ignoreKnown = map[string]bool{"lockorder": true, "pinunpin": true, "spanend": true}
 
 func TestFilterIgnoredSuppresses(t *testing.T) {
 	pkg := parseForIgnores(t, ignoreSrc)
 	diags := []Diagnostic{
-		diagAt(pkg, 3, "lockio"),   // same-line directive
-		diagAt(pkg, 6, "pinunpin"), // line-above directive, multi-analyzer
-		diagAt(pkg, 6, "spanend"),  // second analyzer of the same directive
-		diagAt(pkg, 16, "lockio"),  // "all" matches every analyzer
+		diagAt(pkg, 3, "lockorder"),  // same-line directive
+		diagAt(pkg, 6, "pinunpin"),   // line-above directive, multi-analyzer
+		diagAt(pkg, 6, "spanend"),    // second analyzer of the same directive
+		diagAt(pkg, 16, "lockorder"), // "all" matches every analyzer
 	}
 	got := FilterIgnored(pkg, diags, ignoreKnown)
 	// The three malformed directives (lines 8, 10, 13) surface as
@@ -93,7 +93,7 @@ func TestFilterIgnoredMalformedDirectives(t *testing.T) {
 
 func TestFilterIgnoredMismatchKept(t *testing.T) {
 	pkg := parseForIgnores(t, ignoreSrc)
-	// A spanend finding on line 3 is NOT covered by the lockio directive.
+	// A spanend finding on line 3 is NOT covered by the lockorder directive.
 	got := FilterIgnored(pkg, []Diagnostic{diagAt(pkg, 3, "spanend")}, ignoreKnown)
 	kept := 0
 	for _, d := range got {

@@ -122,9 +122,9 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, armedRead, armedWrite ma
 	// Unbounded dials and timeout-less HTTP servers.
 	if fn := analysis.CalleeFunc(info, call); fn != nil && fn.Pkg() != nil {
 		switch {
-		case fn.Pkg().Path() == "net" && fn.Name() == "Dial" && recvName(fn) == "":
+		case fn.Pkg().Path() == "net" && fn.Name() == "Dial" && analysis.RecvName(fn) == "":
 			pass.Reportf(call.Pos(), "net.Dial blocks without bound: use net.DialTimeout or a net.Dialer with Timeout")
-		case fn.Pkg().Path() == "net/http" && (fn.Name() == "ListenAndServe" || fn.Name() == "ListenAndServeTLS") && recvName(fn) == "":
+		case fn.Pkg().Path() == "net/http" && (fn.Name() == "ListenAndServe" || fn.Name() == "ListenAndServeTLS") && analysis.RecvName(fn) == "":
 			pass.Reportf(call.Pos(), "http.%s serves with no timeouts at all: construct an http.Server with ReadHeaderTimeout set", fn.Name())
 		}
 	}
@@ -168,15 +168,4 @@ func isConn(info *types.Info, e ast.Expr) bool {
 		return true
 	}
 	return false
-}
-
-func recvName(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	if n := analysis.NamedRecv(sig.Recv().Type()); n != nil {
-		return n.Obj().Name()
-	}
-	return ""
 }

@@ -41,7 +41,7 @@ var Analyzer = &analysis.Analyzer{
 		"The WaitDurable obligation is path-sensitive and interprocedural (a helper summarized as waiting " +
 		"discharges it); returning or storing the LSN hands the obligation to the new owner.",
 	Run:   run,
-	Facts: []*analysis.FactComputer{analysis.PathflowFacts},
+	Facts: []*analysis.FactComputer{pathflow.Facts},
 }
 
 func run(pass *analysis.Pass) error {
@@ -86,28 +86,28 @@ func checkAppendTxn(pass *analysis.Pass, s *ast.AssignStmt, stack []ast.Node) {
 	if !ok || !isAppendTxn(pass.TypesInfo, call) || len(s.Lhs) != 2 {
 		return
 	}
-	lsnObj := lhsObj(pass.TypesInfo, s.Lhs[0])
+	lsnObj := analysis.LHSObj(pass.TypesInfo, s.Lhs[0])
 	if lsnObj == nil {
 		pass.Reportf(call.Pos(), "LSN from AppendTxn dropped: nothing can WaitDurable for this transaction")
 		return
 	}
-	errObj := lhsObj(pass.TypesInfo, s.Lhs[1])
+	errObj := analysis.LHSObj(pass.TypesInfo, s.Lhs[1])
 	fn := analysis.EnclosingFunc(stack)
 	if fn == nil {
 		return
 	}
-	sums := pass.Facts.Pathflow()
+	sums := pathflow.FromFacts(pass.Facts)
 	ob := &pathflow.Obligation{
 		Info: pass.TypesInfo,
 		Releases: func(rel *ast.CallExpr) bool {
 			callee := analysis.CalleeFunc(pass.TypesInfo, rel)
 			if callee != nil && callee.Name() == "WaitDurable" &&
-				len(rel.Args) >= 1 && identIs(pass.TypesInfo, rel.Args[0], lsnObj) {
+				len(rel.Args) >= 1 && analysis.IdentIs(pass.TypesInfo, rel.Args[0], lsnObj) {
 				return true
 			}
 			if sum, ok := sums.Lookup(callee); ok {
 				for _, i := range sum.Waits {
-					if i < len(rel.Args) && identIs(pass.TypesInfo, rel.Args[i], lsnObj) {
+					if i < len(rel.Args) && analysis.IdentIs(pass.TypesInfo, rel.Args[i], lsnObj) {
 						return true
 					}
 				}
@@ -122,21 +122,21 @@ func checkAppendTxn(pass *analysis.Pass, s *ast.AssignStmt, stack []ast.Node) {
 			switch n := n.(type) {
 			case *ast.ReturnStmt:
 				for _, r := range n.Results {
-					if mentions(pass.TypesInfo, r, lsnObj) {
+					if analysis.Mentions(pass.TypesInfo, r, lsnObj) {
 						return true
 					}
 				}
 			case *ast.AssignStmt:
 				for i, r := range n.Rhs {
-					if i < len(n.Lhs) && isBlank(n.Lhs[i]) {
+					if i < len(n.Lhs) && analysis.IsBlank(n.Lhs[i]) {
 						continue
 					}
-					if mentions(pass.TypesInfo, r, lsnObj) {
+					if analysis.Mentions(pass.TypesInfo, r, lsnObj) {
 						return true
 					}
 				}
 			case *ast.SendStmt:
-				return mentions(pass.TypesInfo, n.Value, lsnObj)
+				return analysis.Mentions(pass.TypesInfo, n.Value, lsnObj)
 			}
 			return false
 		},
@@ -242,45 +242,4 @@ func workWindow(body *ast.BlockStmt) (begin, end token.Pos) {
 		return true
 	})
 	return
-}
-
-func lhsObj(info *types.Info, e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return nil
-	}
-	if def, ok := info.Defs[id]; ok && def != nil {
-		return def
-	}
-	return info.Uses[id]
-}
-
-func identIs(info *types.Info, e ast.Expr, obj types.Object) bool {
-	if obj == nil {
-		return false
-	}
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && (info.Uses[id] == obj || info.Defs[id] == obj)
-}
-
-func mentions(info *types.Info, e ast.Expr, obj types.Object) bool {
-	if obj == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok && (info.Uses[id] == obj || info.Defs[id] == obj) {
-			found = true
-		}
-		return true
-	})
-	return found
-}
-
-func isBlank(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && id.Name == "_"
 }

@@ -1,6 +1,7 @@
 // Package lockorder defines the genalgvet analyzer that builds a
-// whole-program mutex acquisition graph and reports lock-order cycles
-// and locks held across long blocking waits.
+// whole-program mutex acquisition graph and reports lock-order cycles,
+// locks held across long blocking waits, and blocking I/O or fan-out
+// inside a critical section.
 //
 // Each sync.Mutex/RWMutex use is abstracted to a lock CLASS: the named
 // type owning the field ("db.DB.dmlMu"), a package-level variable
@@ -14,13 +15,23 @@
 // durability wait or a stalled peer's write starves every competing
 // acquirer for the full wait.
 //
-// Limits, by design: acquisition tracking is structural (the same
-// shape lockio uses), goroutine and defer bodies run outside the
-// current window, and two instances of the same class acquired
-// back-to-back are only reported when the receiver expressions match
-// textually (instance-ordering schemes cannot be proven here). RLock
-// participates like Lock: read locks still deadlock against writers in
-// a cycle.
+// Shorter blocking work is reported only where it is called under a
+// lock: pager and buffer-pool I/O, OS file I/O, network calls, and a
+// parallel.Map/MapAll/ForEach fan-out (which can also deadlock if a
+// mapped function needs the same lock). Holding a lock across a disk
+// seek serializes the whole subsystem behind it. These direct-only
+// categories never enter the per-function facts, so a caller of a
+// function that does I/O under its own lock is not reported. Sites that
+// hold a lock across I/O deliberately (the buffer pool's miss path, the
+// WAL's append mutex) carry //genalgvet:ignore suppressions that double
+// as design documentation.
+//
+// Limits, by design: acquisition tracking is structural, goroutine and
+// defer bodies run outside the current window, and two instances of the
+// same class acquired back-to-back are only reported when the receiver
+// expressions match textually (instance-ordering schemes cannot be
+// proven here). RLock participates like Lock: read locks still deadlock
+// against writers in a cycle.
 package lockorder
 
 import (
@@ -39,9 +50,11 @@ const domainName = "lockorder"
 // Analyzer is the lockorder check.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc: "check for lock-order cycles and locks held across durability waits, fsyncs, or peer network I/O\n\n" +
+	Doc: "check for lock-order cycles, locks held across durability waits, fsyncs, or peer network I/O, and blocking I/O under a lock\n\n" +
 		"Acquisition edges and reachable blocking waits are summarized per function and merged across " +
-		"packages through the facts side-channel, so a cycle split between db and genalgd is still a cycle.",
+		"packages through the facts side-channel, so a cycle split between db and genalgd is still a cycle. " +
+		"Pager and buffer-pool I/O, os file I/O, net calls and parallel.{Map,MapAll,ForEach} are reported " +
+		"at the call site only.",
 	Run:   run,
 	Facts: []*analysis.FactComputer{Facts},
 }
@@ -194,6 +207,16 @@ func run(pass *analysis.Pass) error {
 			graph[ed[0]][ed[1]] = true
 		}
 	}
+	report := func(call *ast.CallExpr, kind, callee string, held []heldLock) {
+		if len(held) == 0 {
+			return
+		}
+		lock := "a mutex"
+		if len(held) == 1 {
+			lock = held[0].expr
+		}
+		pass.Reportf(call.Pos(), "call to %s (%s) while %s is held: every goroutine contending for the lock stalls behind the wait", callee, kind, lock)
+	}
 	for _, file := range pass.Files {
 		for _, d := range file.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -207,16 +230,8 @@ func run(pass *analysis.Pass) error {
 				acquire: func(call *ast.CallExpr, id, expr, via string, held []heldLock) {
 					reportAcquire(pass, graph, call, id, expr, via, held)
 				},
-				blocked: func(call *ast.CallExpr, kind, callee string, held []heldLock) {
-					if len(held) == 0 {
-						return
-					}
-					lock := "a mutex"
-					if len(held) == 1 {
-						lock = held[0].expr
-					}
-					pass.Reportf(call.Pos(), "call to %s (%s) while %s is held: every goroutine contending for the lock stalls behind the wait", callee, kind, lock)
-				},
+				blocked: report,
+				io:      report,
 			}
 			sc.stmts(fd.Body.List, nil)
 		}
@@ -277,17 +292,19 @@ func reach(graph map[string]map[string]bool, id, target string) []string {
 // and the receiver expression as written.
 type heldLock struct{ id, expr string }
 
-// scanner walks a function body tracking held locks, firing acquire and
-// blocked events. It mirrors lockio's structural walker: branch bodies
-// get a copy of the held list, defer/go/FuncLit bodies are not descended
-// into.
+// scanner walks a function body tracking held locks, firing acquire,
+// blocked and io events. The walk is structural: branch bodies get a
+// copy of the held list, defer/go/FuncLit bodies are not descended into.
 type scanner struct {
 	info    *types.Info
 	fnName  string
 	table   map[string]*fnLocks
 	acquire func(call *ast.CallExpr, id, expr, via string, held []heldLock)
 	blocked func(call *ast.CallExpr, kind, callee string, held []heldLock)
-	inherit func(sub *fnLocks) // callee edges, for summarization; may be nil
+	// io receives direct-only blocking I/O; nil when summarizing.
+	io func(call *ast.CallExpr, kind, callee string, held []heldLock)
+	// inherit receives callee edges, for summarization; may be nil.
+	inherit func(sub *fnLocks)
 }
 
 func (sc *scanner) stmts(list []ast.Stmt, held []heldLock) []heldLock {
@@ -304,7 +321,7 @@ func (sc *scanner) stmts(list []ast.Stmt, held []heldLock) []heldLock {
 				}
 				continue
 			}
-			sc.exprs(st.X, held)
+			sc.calls(st.X, held)
 		case *ast.DeferStmt:
 			// defer mu.Unlock() keeps the lock held to function end; the
 			// deferred call itself runs outside the current window.
@@ -314,27 +331,23 @@ func (sc *scanner) stmts(list []ast.Stmt, held []heldLock) []heldLock {
 		case *ast.BlockStmt:
 			sc.stmts(st.List, copyHeld(held))
 		case *ast.IfStmt:
-			sc.stmtExprs(st.Init, held)
-			sc.exprs(st.Cond, held)
+			sc.calls(st.Init, held)
+			sc.calls(st.Cond, held)
 			sc.stmts(st.Body.List, copyHeld(held))
 			if st.Else != nil {
 				sc.stmts([]ast.Stmt{st.Else}, copyHeld(held))
 			}
 		case *ast.ForStmt:
-			sc.stmtExprs(st.Init, held)
-			if st.Cond != nil {
-				sc.exprs(st.Cond, held)
-			}
-			sc.stmtExprs(st.Post, held)
+			sc.calls(st.Init, held)
+			sc.calls(st.Cond, held)
+			sc.calls(st.Post, held)
 			sc.stmts(st.Body.List, copyHeld(held))
 		case *ast.RangeStmt:
-			sc.exprs(st.X, held)
+			sc.calls(st.X, held)
 			sc.stmts(st.Body.List, copyHeld(held))
 		case *ast.SwitchStmt:
-			sc.stmtExprs(st.Init, held)
-			if st.Tag != nil {
-				sc.exprs(st.Tag, held)
-			}
+			sc.calls(st.Init, held)
+			sc.calls(st.Tag, held)
 			for _, c := range st.Body.List {
 				if cc, ok := c.(*ast.CaseClause); ok {
 					sc.stmts(cc.Body, copyHeld(held))
@@ -355,7 +368,7 @@ func (sc *scanner) stmts(list []ast.Stmt, held []heldLock) []heldLock {
 		case *ast.LabeledStmt:
 			held = sc.stmts([]ast.Stmt{st.Stmt}, held)
 		default:
-			sc.stmtExprs(s, held)
+			sc.calls(s, held)
 		}
 	}
 	return held
@@ -381,11 +394,13 @@ func release(held []heldLock, l heldLock) []heldLock {
 	return held
 }
 
-func (sc *scanner) stmtExprs(s ast.Stmt, held []heldLock) {
-	if s == nil {
+// calls fires call events for every call in a simple statement or an
+// expression (n may be nil), skipping function literal bodies.
+func (sc *scanner) calls(n ast.Node, held []heldLock) {
+	if n == nil {
 		return
 	}
-	ast.Inspect(s, func(n ast.Node) bool {
+	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return false
@@ -396,27 +411,18 @@ func (sc *scanner) stmtExprs(s ast.Stmt, held []heldLock) {
 	})
 }
 
-func (sc *scanner) exprs(e ast.Expr, held []heldLock) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			sc.call(n, held)
-		}
-		return true
-	})
-}
-
-// call classifies a non-lock-op call: direct blocking wait, or a
-// summarized callee whose acquisitions and blocks are inherited.
+// call classifies a non-lock-op call: direct blocking wait, direct
+// blocking I/O (which may also be a summarized callee), or a summarized
+// callee whose acquisitions and blocks are inherited.
 func (sc *scanner) call(call *ast.CallExpr, held []heldLock) {
 	if kind, callee, ok := blockingWait(sc.info, call); ok {
 		sc.blocked(call, kind, callee, held)
 		return
+	}
+	if sc.io != nil {
+		if kind, callee, ok := blockingIO(sc.info, call); ok {
+			sc.io(call, kind, callee, held)
+		}
 	}
 	fn := analysis.CalleeFunc(sc.info, call)
 	if fn == nil {
@@ -511,7 +517,7 @@ var wireIO = map[string]bool{
 
 // blockingWait classifies direct calls that can block for a long,
 // externally-controlled time: durability waits, fsyncs, and peer network
-// reads/writes. (Short-lived disk I/O under a lock is lockio's beat.)
+// reads/writes. These enter the facts, so callers inherit them.
 func blockingWait(info *types.Info, call *ast.CallExpr) (kind, callee string, ok bool) {
 	fn := analysis.CalleeFunc(info, call)
 	if fn == nil || fn.Pkg() == nil {
@@ -519,7 +525,7 @@ func blockingWait(info *types.Info, call *ast.CallExpr) (kind, callee string, ok
 	}
 	path := fn.Pkg().Path()
 	name := fn.Name()
-	recv := recvTypeName(fn)
+	recv := analysis.RecvName(fn)
 	switch {
 	case name == "WaitDurable" && recv != "":
 		return "durability wait", recv + "." + name, true
@@ -533,19 +539,53 @@ func blockingWait(info *types.Info, call *ast.CallExpr) (kind, callee string, ok
 	return "", "", false
 }
 
-func recvTypeName(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
+var osBlocking = map[string]bool{
+	"Open": true, "OpenFile": true, "Create": true, "CreateTemp": true,
+	"ReadFile": true, "WriteFile": true, "ReadDir": true, "MkdirTemp": true,
+	"Remove": true, "RemoveAll": true, "Rename": true, "Mkdir": true,
+	"MkdirAll": true, "Stat": true, "Lstat": true, "Truncate": true,
+}
+
+var osFileBlocking = map[string]bool{
+	"Read": true, "ReadAt": true, "Write": true, "WriteAt": true,
+	"Sync": true, "Seek": true, "Close": true, "Truncate": true,
+}
+
+var pagerMethods = map[string]bool{"Read": true, "Write": true, "Allocate": true}
+
+var bufferPoolBlocking = map[string]bool{"Pin": true, "Allocate": true, "FlushAll": true}
+
+var parallelFanout = map[string]bool{"Map": true, "MapAll": true, "ForEach": true}
+
+// blockingIO classifies the direct calls that block on the disk, the
+// network or the worker pool. They are reported at the call site only.
+func blockingIO(info *types.Info, call *ast.CallExpr) (kind, callee string, ok bool) {
+	fn := analysis.CalleeFunc(info, call)
+	if fn == nil || fn.Pkg() == nil {
+		return "", "", false
 	}
-	if n := analysis.NamedRecv(sig.Recv().Type()); n != nil {
-		return n.Obj().Name()
+	path := fn.Pkg().Path()
+	name := fn.Name()
+	recv := analysis.RecvName(fn)
+	switch {
+	case path == "os" && recv == "" && osBlocking[name]:
+		return "file I/O", "os." + name, true
+	case path == "os" && recv == "File" && osFileBlocking[name]:
+		return "file I/O", "os.File." + name, true
+	case path == "net" || strings.HasPrefix(path, "net/"):
+		return "network I/O", qual(fn.Pkg()) + "." + displayName(fn), true
+	case analysis.PkgIs(path, "parallel") && recv == "" && parallelFanout[name]:
+		return "worker-pool fan-out", "parallel." + name, true
+	case analysis.PkgIs(path, "storage") && recv == "Pager" && pagerMethods[name]:
+		return "pager I/O", "Pager." + name, true
+	case analysis.PkgIs(path, "storage") && recv == "BufferPool" && bufferPoolBlocking[name]:
+		return "buffer-pool I/O", "BufferPool." + name, true
 	}
-	return ""
+	return "", "", false
 }
 
 func displayName(fn *types.Func) string {
-	if recv := recvTypeName(fn); recv != "" {
+	if recv := analysis.RecvName(fn); recv != "" {
 		return recv + "." + fn.Name()
 	}
 	return fn.Name()

@@ -1,8 +1,8 @@
 // Package passes registers every genalgvet analyzer. The project checks
-// encode invariants from earlier PRs (pin/unpin discipline, span
-// lifecycle, context threading, lock hygiene, metric naming, boundary
-// error classification, WAL durability, lock ordering, goroutine
-// shutdown, network deadlines, deterministic replay); the stock-lite
+// encode the engine's invariants (pin/unpin discipline, span lifecycle,
+// context threading, WAL durability, lock ordering and lock-held I/O,
+// goroutine shutdown, network deadlines, deterministic replay, metric
+// naming, boundary error classification); the stock-lite
 // checks reimplement the vet passes that stock go vet lacks (nilness) or
 // runs with a narrower function list (unusedresult), since this offline
 // build cannot import them from x/tools.
@@ -15,7 +15,6 @@ import (
 	"genalg/internal/analysis/passes/durability"
 	"genalg/internal/analysis/passes/errclass"
 	"genalg/internal/analysis/passes/goroleak"
-	"genalg/internal/analysis/passes/lockio"
 	"genalg/internal/analysis/passes/lockorder"
 	"genalg/internal/analysis/passes/metricname"
 	"genalg/internal/analysis/passes/nilness"
@@ -31,7 +30,6 @@ func All() []*analysis.Analyzer {
 		pinunpin.Analyzer,
 		spanend.Analyzer,
 		ctxpass.Analyzer,
-		lockio.Analyzer,
 		durability.Analyzer,
 		lockorder.Analyzer,
 		goroleak.Analyzer,

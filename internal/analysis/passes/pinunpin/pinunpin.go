@@ -26,7 +26,7 @@ var Analyzer = &analysis.Analyzer{
 		"the acquisition itself failed (guarded by `if err != nil` on the acquisition's error) are exempt; " +
 		"returning or storing the pinned page hands ownership to the caller and discharges the check.",
 	Run:   run,
-	Facts: []*analysis.FactComputer{analysis.PathflowFacts},
+	Facts: []*analysis.FactComputer{pathflow.Facts},
 }
 
 func run(pass *analysis.Pass) error {
@@ -87,13 +87,13 @@ func checkAcquire(pass *analysis.Pass, s *ast.AssignStmt, stack []ast.Node) {
 			return
 		}
 		keyStr = types.ExprString(call.Args[0])
-		pageObj = lhsObj(pass.TypesInfo, s.Lhs[0])
-		errObj = lhsObj(pass.TypesInfo, s.Lhs[1])
+		pageObj = analysis.LHSObj(pass.TypesInfo, s.Lhs[0])
+		errObj = analysis.LHSObj(pass.TypesInfo, s.Lhs[1])
 	case "BufferPool.Allocate": // id, pg, err := bp.Allocate()
 		if len(s.Lhs) != 3 {
 			return
 		}
-		keyObj = lhsObj(pass.TypesInfo, s.Lhs[0])
+		keyObj = analysis.LHSObj(pass.TypesInfo, s.Lhs[0])
 		if keyObj == nil {
 			// Allocating and discarding the new page's ID: nothing can
 			// ever Unpin it.
@@ -101,15 +101,15 @@ func checkAcquire(pass *analysis.Pass, s *ast.AssignStmt, stack []ast.Node) {
 			return
 		}
 		keyStr = keyObj.Name()
-		pageObj = lhsObj(pass.TypesInfo, s.Lhs[1])
-		errObj = lhsObj(pass.TypesInfo, s.Lhs[2])
+		pageObj = analysis.LHSObj(pass.TypesInfo, s.Lhs[1])
+		errObj = analysis.LHSObj(pass.TypesInfo, s.Lhs[2])
 	}
 
 	fn := analysis.EnclosingFunc(stack)
 	if fn == nil {
 		return
 	}
-	sums := pass.Facts.Pathflow()
+	sums := pathflow.FromFacts(pass.Facts)
 	ob := &pathflow.Obligation{
 		Info: pass.TypesInfo,
 		Releases: func(rel *ast.CallExpr) bool {
@@ -148,31 +148,18 @@ func checkAcquire(pass *analysis.Pass, s *ast.AssignStmt, stack []ast.Node) {
 		name, keyStr, recvStr, keyStr, leak.Kind, line)
 }
 
-// lhsObj resolves the object an assignment target ident denotes (nil for
-// `_` and non-ident targets).
-func lhsObj(info *types.Info, e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return nil
-	}
-	if def, ok := info.Defs[id]; ok && def != nil {
-		return def
-	}
-	return info.Uses[id]
-}
-
 // escapesThrough reports whether the pinned page (or its ID, for
 // Allocate) is handed off at node n: returned to the caller, passed as a
 // call argument, stored into a structure, or aliased — after which the
 // new owner carries the Unpin obligation.
 func escapesThrough(info *types.Info, n ast.Node, pageObj, keyObj types.Object) bool {
 	uses := func(e ast.Expr) bool {
-		return identIs(info, e, pageObj) || (keyObj != nil && identIs(info, e, keyObj))
+		return analysis.IdentIs(info, e, pageObj) || (keyObj != nil && analysis.IdentIs(info, e, keyObj))
 	}
 	switch n := n.(type) {
 	case *ast.ReturnStmt:
 		for _, r := range n.Results {
-			if exprMentions(info, r, pageObj) || (keyObj != nil && exprMentions(info, r, keyObj)) {
+			if analysis.Mentions(info, r, pageObj) || (keyObj != nil && analysis.Mentions(info, r, keyObj)) {
 				return true
 			}
 		}
@@ -180,13 +167,13 @@ func escapesThrough(info *types.Info, n ast.Node, pageObj, keyObj types.Object) 
 	case *ast.AssignStmt:
 		for i, r := range n.Rhs {
 			// `_ = pg` is a use marker, not a handoff.
-			if i < len(n.Lhs) && isBlank(n.Lhs[i]) {
+			if i < len(n.Lhs) && analysis.IsBlank(n.Lhs[i]) {
 				continue
 			}
 			if uses(r) {
 				return true // aliased: pg2 := pg / w.page = pg
 			}
-			if comp, ok := ast.Unparen(r).(*ast.CompositeLit); ok && exprMentions(info, comp, pageObj) {
+			if comp, ok := ast.Unparen(r).(*ast.CompositeLit); ok && analysis.Mentions(info, comp, pageObj) {
 				return true
 			}
 		}
@@ -205,7 +192,7 @@ func escapesThrough(info *types.Info, n ast.Node, pageObj, keyObj types.Object) 
 				// Only the page pointer transfers ownership through a
 				// call; page IDs ride through formatting and logging
 				// calls all the time without doing so.
-				if identIs(info, arg, pageObj) {
+				if analysis.IdentIs(info, arg, pageObj) {
 					escaped = true
 				}
 			}
@@ -214,34 +201,4 @@ func escapesThrough(info *types.Info, n ast.Node, pageObj, keyObj types.Object) 
 		return escaped
 	}
 	return false
-}
-
-func identIs(info *types.Info, e ast.Expr, obj types.Object) bool {
-	if obj == nil {
-		return false
-	}
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && info.Uses[id] == obj
-}
-
-func exprMentions(info *types.Info, e ast.Expr, obj types.Object) bool {
-	if obj == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == obj {
-			found = true
-		}
-		return true
-	})
-	return found
-}
-
-func isBlank(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && id.Name == "_"
 }

@@ -14,6 +14,7 @@ package spanend
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 
 	"genalg/internal/analysis"
 	"genalg/internal/analysis/pathflow"
@@ -29,11 +30,8 @@ var Analyzer = &analysis.Analyzer{
 		"callback), or discharged by returning/storing the span. Passing the span to a summarized callee " +
 		"that neither ends nor keeps it does NOT discharge the obligation.",
 	Run:   run,
-	Facts: []*analysis.FactComputer{analysis.PathflowFacts},
+	Facts: []*analysis.FactComputer{pathflow.Facts},
 }
-
-// endMethods are the Span methods that retire a span.
-var endMethods = map[string]bool{"EndSpan": true, "EndOK": true, "End": true}
 
 func run(pass *analysis.Pass) error {
 	analysis.WalkStack(pass.Files, func(n ast.Node, stack []ast.Node) bool {
@@ -81,7 +79,7 @@ func checkAcquire(pass *analysis.Pass, s *ast.AssignStmt, stack []ast.Node) {
 	if len(s.Lhs) <= resultIdx {
 		return
 	}
-	spanObj := lhsObj(pass.TypesInfo, s.Lhs[resultIdx])
+	spanObj := analysis.LHSObj(pass.TypesInfo, s.Lhs[resultIdx])
 	if spanObj == nil {
 		pass.Reportf(call.Pos(), "span from %s assigned to _: it can never be ended", name)
 		return
@@ -92,17 +90,16 @@ func checkAcquire(pass *analysis.Pass, s *ast.AssignStmt, stack []ast.Node) {
 	}
 
 	isTimer := name == "Registry.Timer"
-	sums := pass.Facts.Pathflow()
+	sums := pathflow.FromFacts(pass.Facts)
 	ob := &pathflow.Obligation{
 		Info: pass.TypesInfo,
 		Releases: func(rel *ast.CallExpr) bool {
 			if isTimer {
 				// done() — calling the stop func.
-				if identIs(pass.TypesInfo, rel.Fun, spanObj) {
+				if analysis.IdentIs(pass.TypesInfo, rel.Fun, spanObj) {
 					return true
 				}
-			} else if sel, ok := ast.Unparen(rel.Fun).(*ast.SelectorExpr); ok &&
-				endMethods[sel.Sel.Name] && identIs(pass.TypesInfo, sel.X, spanObj) {
+			} else if pathflow.IsEndMethodValue(pass.TypesInfo, rel.Fun, spanObj) {
 				return true
 			}
 			// Interprocedural: a callee summarized as ending/keeping the
@@ -113,15 +110,15 @@ func checkAcquire(pass *analysis.Pass, s *ast.AssignStmt, stack []ast.Node) {
 				return false
 			}
 			for i, arg := range rel.Args {
-				if identIs(pass.TypesInfo, arg, spanObj) {
-					if isTimer && hasIdx(sum.Calls, i) {
+				if analysis.IdentIs(pass.TypesInfo, arg, spanObj) {
+					if isTimer && slices.Contains(sum.Calls, i) {
 						return true
 					}
-					if !isTimer && (hasIdx(sum.Spans, i) || hasIdx(sum.SpanEscapes, i)) {
+					if !isTimer && (slices.Contains(sum.Spans, i) || slices.Contains(sum.SpanEscapes, i)) {
 						return true
 					}
 				}
-				if !isTimer && hasIdx(sum.Calls, i) && isEndMethodValue(pass.TypesInfo, arg, spanObj) {
+				if !isTimer && slices.Contains(sum.Calls, i) && pathflow.IsEndMethodValue(pass.TypesInfo, arg, spanObj) {
 					return true
 				}
 			}
@@ -147,17 +144,6 @@ func checkAcquire(pass *analysis.Pass, s *ast.AssignStmt, stack []ast.Node) {
 		name, verb, leak.Kind, line)
 }
 
-func lhsObj(info *types.Info, e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return nil
-	}
-	if def, ok := info.Defs[id]; ok && def != nil {
-		return def
-	}
-	return info.Uses[id]
-}
-
 // escapesThrough: returning, storing, or aliasing the span hands the End
 // obligation onward, as does passing it to a callee the summaries know
 // nothing about. A callee WITH a pathflow summary escapes the span only
@@ -167,7 +153,7 @@ func escapesThrough(info *types.Info, sums *pathflow.Summaries, n ast.Node, span
 	switch n := n.(type) {
 	case *ast.ReturnStmt:
 		for _, r := range n.Results {
-			if exprMentions(info, r, spanObj) {
+			if analysis.Mentions(info, r, spanObj) {
 				return true
 			}
 		}
@@ -181,27 +167,27 @@ func escapesThrough(info *types.Info, sums *pathflow.Summaries, n ast.Node, span
 			switch m := m.(type) {
 			case *ast.AssignStmt:
 				for i, r := range m.Rhs {
-					if i < len(m.Lhs) && isBlank(m.Lhs[i]) {
+					if i < len(m.Lhs) && analysis.IsBlank(m.Lhs[i]) {
 						continue
 					}
-					if exprMentions(info, r, spanObj) {
+					if analysis.Mentions(info, r, spanObj) {
 						escaped = true
 					}
 				}
 			case *ast.CallExpr:
-				if isTimer && identIs(info, m.Fun, spanObj) {
+				if isTimer && analysis.IdentIs(info, m.Fun, spanObj) {
 					return true // the release itself, not an escape
 				}
 				sum, known := sums.LookupCall(info, m)
 				for i, arg := range m.Args {
-					if !identIs(info, arg, spanObj) {
+					if !analysis.IdentIs(info, arg, spanObj) {
 						continue
 					}
 					if !known {
 						escaped = true
-					} else if isTimer && hasIdx(sum.Calls, i) {
+					} else if isTimer && slices.Contains(sum.Calls, i) {
 						escaped = true
-					} else if !isTimer && (hasIdx(sum.Spans, i) || hasIdx(sum.SpanEscapes, i)) {
+					} else if !isTimer && (slices.Contains(sum.Spans, i) || slices.Contains(sum.SpanEscapes, i)) {
 						escaped = true
 					}
 				}
@@ -211,50 +197,4 @@ func escapesThrough(info *types.Info, sums *pathflow.Summaries, n ast.Node, span
 		return escaped
 	}
 	return false
-}
-
-func hasIdx(list []int, i int) bool {
-	for _, v := range list {
-		if v == i {
-			return true
-		}
-	}
-	return false
-}
-
-// isEndMethodValue reports whether e is a method value sp.End / sp.EndOK
-// / sp.EndSpan on the tracked span.
-func isEndMethodValue(info *types.Info, e ast.Expr, spanObj types.Object) bool {
-	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
-	return ok && endMethods[sel.Sel.Name] && identIs(info, sel.X, spanObj)
-}
-
-func identIs(info *types.Info, e ast.Expr, obj types.Object) bool {
-	if obj == nil {
-		return false
-	}
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && info.Uses[id] == obj
-}
-
-func exprMentions(info *types.Info, e ast.Expr, obj types.Object) bool {
-	if obj == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == obj {
-			found = true
-		}
-		return true
-	})
-	return found
-}
-
-func isBlank(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && id.Name == "_"
 }

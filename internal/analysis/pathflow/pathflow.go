@@ -25,6 +25,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+
+	"genalg/internal/analysis"
 )
 
 // Obligation configures one acquisition's release requirement.
@@ -70,7 +72,7 @@ type checker struct {
 // analysis (goto present, acquisition not found in a statement list) and
 // no conclusion should be drawn.
 func (o *Obligation) Check(fn ast.Node, acq ast.Stmt) (leak *Leak, ok bool) {
-	_, body := funcParts(fn)
+	_, body := analysis.FuncParts(fn)
 	if body == nil {
 		return nil, false
 	}
@@ -162,7 +164,7 @@ func (c *checker) scanList(stmts []ast.Stmt, st state, iterExit bool) (out state
 }
 
 func (c *checker) scanStmt(s ast.Stmt, st state, iterExit bool) (out state, terminated bool) {
-	if c.o.errLive && assignsTo(c.o.Info, s, c.o.ErrVar) && !isAcquisitionLike(s) {
+	if c.o.errLive && assignsTo(c.o.Info, s, c.o.ErrVar) {
 		// err reassigned: `if err != nil` no longer refers to the
 		// acquisition's outcome. (Release calls often reuse err, so check
 		// for the release first.)
@@ -356,9 +358,9 @@ func (c *checker) errBranch(cond ast.Expr) (exemptThen, exemptElse bool) {
 	}
 	var other ast.Expr
 	switch {
-	case isIdentFor(c.o.Info, be.X, c.o.ErrVar):
+	case analysis.IdentIs(c.o.Info, be.X, c.o.ErrVar):
 		other = be.Y
-	case isIdentFor(c.o.Info, be.Y, c.o.ErrVar):
+	case analysis.IdentIs(c.o.Info, be.Y, c.o.ErrVar):
 		other = be.X
 	default:
 		return false, false
@@ -421,31 +423,13 @@ func assignsTo(info *types.Info, stmt ast.Stmt, obj types.Object) bool {
 			return true
 		}
 		for _, lhs := range as.Lhs {
-			if isIdentFor(info, lhs, obj) {
+			if analysis.IdentIs(info, lhs, obj) {
 				found = true
 			}
 		}
 		return true
 	})
 	return found
-}
-
-// isAcquisitionLike is a hook kept false; the acquisition statement itself
-// is never re-scanned (scanning starts after it).
-func isAcquisitionLike(ast.Stmt) bool { return false }
-
-func isIdentFor(info *types.Info, e ast.Expr, obj types.Object) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	if use, ok := info.Uses[id]; ok {
-		return use == obj
-	}
-	if def, ok := info.Defs[id]; ok {
-		return def == obj
-	}
-	return false
 }
 
 type sub struct {
@@ -514,14 +498,4 @@ func containsGoto(body *ast.BlockStmt) bool {
 		return true
 	})
 	return found
-}
-
-func funcParts(fn ast.Node) (*ast.FuncType, *ast.BlockStmt) {
-	switch fn := fn.(type) {
-	case *ast.FuncDecl:
-		return fn.Type, fn.Body
-	case *ast.FuncLit:
-		return fn.Type, fn.Body
-	}
-	return nil, nil
 }

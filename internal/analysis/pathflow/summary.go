@@ -24,7 +24,10 @@ import (
 	"encoding/json"
 	"go/ast"
 	"go/types"
+	"slices"
 	"sort"
+
+	"genalg/internal/analysis"
 )
 
 // FuncSummary describes the caller-visible release behaviour of one
@@ -59,15 +62,6 @@ func (s *FuncSummary) hasPin(pool, id int) bool {
 	return false
 }
 
-func hasIdx(list []int, i int) bool {
-	for _, v := range list {
-		if v == i {
-			return true
-		}
-	}
-	return false
-}
-
 // Summaries maps types.Func.FullName() keys to summaries. Every function
 // declaration the analysis has seen gets an entry, even an empty one —
 // presence distinguishes a known callee (proven to release nothing extra)
@@ -94,7 +88,7 @@ func (s *Summaries) Lookup(fn *types.Func) (*FuncSummary, bool) {
 
 // LookupCall resolves call's static callee and returns its summary.
 func (s *Summaries) LookupCall(info *types.Info, call *ast.CallExpr) (*FuncSummary, bool) {
-	return s.Lookup(calleeFunc(info, call))
+	return s.Lookup(analysis.CalleeFunc(info, call))
 }
 
 // EncodeEntries serializes each summary for the facts side-channel.
@@ -140,7 +134,7 @@ func (s *Summaries) Keys() []string {
 // from function entry to exit must release. This is the entry point the
 // summarizer uses (the "acquisition" is taking the parameter).
 func (o *Obligation) CheckAllPaths(fn ast.Node) (leak *Leak, ok bool) {
-	_, body := funcParts(fn)
+	_, body := analysis.FuncParts(fn)
 	if body == nil || containsGoto(body) {
 		return nil, false
 	}
@@ -248,14 +242,14 @@ func summarizeFunc(fd *ast.FuncDecl, sum *FuncSummary, params []types.Object, in
 		if sp == nil || !isSpanish(sp.Type()) {
 			continue
 		}
-		if !hasIdx(sum.Spans, si) {
+		if !slices.Contains(sum.Spans, si) {
 			ob := &Obligation{Info: info, Releases: spanReleaser(info, all, sp)}
 			if leak, ok := ob.CheckAllPaths(fd); ok && leak == nil {
 				sum.Spans = append(sum.Spans, si)
 				changed = true
 			}
 		}
-		if !hasIdx(sum.Spans, si) && !hasIdx(sum.SpanEscapes, si) && escapesAnywhere(fd.Body, info, all, sp) {
+		if !slices.Contains(sum.Spans, si) && !slices.Contains(sum.SpanEscapes, si) && escapesAnywhere(fd.Body, info, all, sp) {
 			sum.SpanEscapes = append(sum.SpanEscapes, si)
 			changed = true
 		}
@@ -263,7 +257,7 @@ func summarizeFunc(fd *ast.FuncDecl, sum *FuncSummary, params []types.Object, in
 
 	// Func-typed parameters invoked on all paths (stop funcs, callbacks).
 	for fi, fp := range params {
-		if fp == nil || hasIdx(sum.Calls, fi) {
+		if fp == nil || slices.Contains(sum.Calls, fi) {
 			continue
 		}
 		if _, ok := fp.Type().Underlying().(*types.Signature); !ok {
@@ -281,7 +275,7 @@ func summarizeFunc(fd *ast.FuncDecl, sum *FuncSummary, params []types.Object, in
 	// idiomatic helper guards on a nil WAL (nothing to wait for), and the
 	// all-paths rigor lives at the AppendTxn acquisition site.
 	for wi, wp := range params {
-		if wp == nil || hasIdx(sum.Waits, wi) || !isInt64(wp.Type()) {
+		if wp == nil || slices.Contains(sum.Waits, wi) || !isInt64(wp.Type()) {
 			continue
 		}
 		if waitsAnywhere(fd.Body, info, all, wp) {
@@ -295,15 +289,15 @@ func summarizeFunc(fd *ast.FuncDecl, sum *FuncSummary, params []types.Object, in
 // pinReleaser matches bp.Unpin(id, ...) and summarized callees that do.
 func pinReleaser(info *types.Info, all *Summaries, pool, id types.Object) func(*ast.CallExpr) bool {
 	return func(call *ast.CallExpr) bool {
-		if isMethodNamed(info, call, "storage", "BufferPool", "Unpin") {
+		if analysis.IsMethodCall(info, call, "storage", "BufferPool", "Unpin") {
 			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 			return ok && len(call.Args) >= 1 &&
-				identIsObj(info, sel.X, pool) && identIsObj(info, call.Args[0], id)
+				analysis.IdentIs(info, sel.X, pool) && analysis.IdentIs(info, call.Args[0], id)
 		}
 		if sum, ok := all.LookupCall(info, call); ok {
 			for _, pr := range sum.Pins {
 				if pr[0] < len(call.Args) && pr[1] < len(call.Args) &&
-					identIsObj(info, call.Args[pr[0]], pool) && identIsObj(info, call.Args[pr[1]], id) {
+					analysis.IdentIs(info, call.Args[pr[0]], pool) && analysis.IdentIs(info, call.Args[pr[1]], id) {
 					return true
 				}
 			}
@@ -312,17 +306,15 @@ func pinReleaser(info *types.Info, all *Summaries, pool, id types.Object) func(*
 	}
 }
 
-// endMethodNames are the span methods that retire a span (mirrors the
-// spanend analyzer's set).
-var endMethodNames = map[string]bool{"End": true, "EndOK": true, "EndSpan": true}
+// endMethods are the span methods that retire a span.
+var endMethods = map[string]bool{"End": true, "EndOK": true, "EndSpan": true}
 
 // spanReleaser matches sp.End()/EndOK/EndSpan, summarized callees that
 // end or absorb the span, and summarized callees invoking a method value
 // like sp.End passed as a callback.
 func spanReleaser(info *types.Info, all *Summaries, sp types.Object) func(*ast.CallExpr) bool {
 	return func(call *ast.CallExpr) bool {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && endMethodNames[sel.Sel.Name] &&
-			identIsObj(info, sel.X, sp) {
+		if IsEndMethodValue(info, call.Fun, sp) {
 			return true
 		}
 		sum, ok := all.LookupCall(info, call)
@@ -330,10 +322,10 @@ func spanReleaser(info *types.Info, all *Summaries, sp types.Object) func(*ast.C
 			return false
 		}
 		for i, arg := range call.Args {
-			if identIsObj(info, arg, sp) && (hasIdx(sum.Spans, i) || hasIdx(sum.SpanEscapes, i)) {
+			if analysis.IdentIs(info, arg, sp) && (slices.Contains(sum.Spans, i) || slices.Contains(sum.SpanEscapes, i)) {
 				return true
 			}
-			if hasIdx(sum.Calls, i) && isEndMethodValue(info, arg, sp) {
+			if slices.Contains(sum.Calls, i) && IsEndMethodValue(info, arg, sp) {
 				return true
 			}
 		}
@@ -344,12 +336,12 @@ func spanReleaser(info *types.Info, all *Summaries, sp types.Object) func(*ast.C
 // callReleaser matches f() and summarized callees invoking f.
 func callReleaser(info *types.Info, all *Summaries, fp types.Object) func(*ast.CallExpr) bool {
 	return func(call *ast.CallExpr) bool {
-		if identIsObj(info, call.Fun, fp) {
+		if analysis.IdentIs(info, call.Fun, fp) {
 			return true
 		}
 		if sum, ok := all.LookupCall(info, call); ok {
 			for _, i := range sum.Calls {
-				if i < len(call.Args) && identIsObj(info, call.Args[i], fp) {
+				if i < len(call.Args) && analysis.IdentIs(info, call.Args[i], fp) {
 					return true
 				}
 			}
@@ -358,11 +350,12 @@ func callReleaser(info *types.Info, all *Summaries, fp types.Object) func(*ast.C
 	}
 }
 
-// isEndMethodValue reports whether e is a method value sp.End / sp.EndOK
-// / sp.EndSpan on the span object.
-func isEndMethodValue(info *types.Info, e ast.Expr, sp types.Object) bool {
+// IsEndMethodValue reports whether e selects End, EndOK or EndSpan on the
+// span object sp: the callee of a direct call, or a method value passed
+// on as a callback.
+func IsEndMethodValue(info *types.Info, e ast.Expr, sp types.Object) bool {
 	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
-	return ok && endMethodNames[sel.Sel.Name] && identIsObj(info, sel.X, sp)
+	return ok && endMethods[sel.Sel.Name] && analysis.IdentIs(info, sel.X, sp)
 }
 
 // escapesAnywhere reports whether obj is handed onward somewhere in body:
@@ -378,34 +371,34 @@ func escapesAnywhere(body *ast.BlockStmt, info *types.Info, all *Summaries, obj 
 		switch n := n.(type) {
 		case *ast.ReturnStmt:
 			for _, r := range n.Results {
-				if mentionsObj(info, r, obj) {
+				if analysis.Mentions(info, r, obj) {
 					escaped = true
 				}
 			}
 		case *ast.AssignStmt:
 			for i, r := range n.Rhs {
-				if i < len(n.Lhs) && isBlankIdent(n.Lhs[i]) {
+				if i < len(n.Lhs) && analysis.IsBlank(n.Lhs[i]) {
 					continue
 				}
-				if mentionsObj(info, r, obj) {
+				if analysis.Mentions(info, r, obj) {
 					escaped = true
 				}
 			}
 		case *ast.SendStmt:
-			if mentionsObj(info, n.Value, obj) {
+			if analysis.Mentions(info, n.Value, obj) {
 				escaped = true
 			}
 		case *ast.CompositeLit:
-			if mentionsObj(info, n, obj) {
+			if analysis.Mentions(info, n, obj) {
 				escaped = true
 			}
 		case *ast.CallExpr:
 			sum, known := all.LookupCall(info, n)
 			for i, arg := range n.Args {
-				if !identIsObj(info, arg, obj) {
+				if !analysis.IdentIs(info, arg, obj) {
 					continue
 				}
-				if !known || hasIdx(sum.Spans, i) || hasIdx(sum.SpanEscapes, i) {
+				if !known || slices.Contains(sum.Spans, i) || slices.Contains(sum.SpanEscapes, i) {
 					escaped = true
 				}
 			}
@@ -427,15 +420,15 @@ func waitsAnywhere(body *ast.BlockStmt, info *types.Info, all *Summaries, obj ty
 		if !ok {
 			return true
 		}
-		fn := calleeFunc(info, call)
+		fn := analysis.CalleeFunc(info, call)
 		if fn != nil && fn.Name() == "WaitDurable" &&
-			len(call.Args) >= 1 && identIsObj(info, call.Args[0], obj) {
+			len(call.Args) >= 1 && analysis.IdentIs(info, call.Args[0], obj) {
 			found = true
 			return false
 		}
 		if sum, ok := all.Lookup(fn); ok {
 			for _, i := range sum.Waits {
-				if i < len(call.Args) && identIsObj(info, call.Args[i], obj) {
+				if i < len(call.Args) && analysis.IdentIs(info, call.Args[i], obj) {
 					found = true
 					return false
 				}
@@ -480,83 +473,5 @@ func namedIn(t types.Type, pkgName, typeName string) bool {
 		return false
 	}
 	obj := n.Obj()
-	return obj.Name() == typeName && obj.Pkg() != nil && pkgPathIs(obj.Pkg().Path(), pkgName)
-}
-
-// --- local AST helpers (pathflow cannot import package analysis: the
-// analysis package imports pathflow for the facts plumbing) ---
-
-func pkgPathIs(path, name string) bool {
-	if path == name {
-		return true
-	}
-	return len(path) > len(name)+1 && path[len(path)-len(name)-1] == '/' && path[len(path)-len(name):] == name
-}
-
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if f, ok := info.Uses[fun].(*types.Func); ok {
-			return f
-		}
-	case *ast.SelectorExpr:
-		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return f
-		}
-	}
-	return nil
-}
-
-func isMethodNamed(info *types.Info, call *ast.CallExpr, pkgName, typeName, method string) bool {
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Name() != method {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	recv := types.Unalias(sig.Recv().Type())
-	if p, ok := recv.(*types.Pointer); ok {
-		recv = types.Unalias(p.Elem())
-	}
-	n, ok := recv.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Name() == typeName && obj.Pkg() != nil && pkgPathIs(obj.Pkg().Path(), pkgName)
-}
-
-func identIsObj(info *types.Info, e ast.Expr, obj types.Object) bool {
-	if obj == nil {
-		return false
-	}
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	return info.Uses[id] == obj || info.Defs[id] == obj
-}
-
-func mentionsObj(info *types.Info, n ast.Node, obj types.Object) bool {
-	if obj == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := m.(*ast.Ident); ok && (info.Uses[id] == obj || info.Defs[id] == obj) {
-			found = true
-		}
-		return true
-	})
-	return found
-}
-
-func isBlankIdent(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && id.Name == "_"
+	return obj.Name() == typeName && obj.Pkg() != nil && analysis.PkgIs(obj.Pkg().Path(), pkgName)
 }

@@ -108,6 +108,67 @@ func NamedRecv(t types.Type) *types.Named {
 	return n
 }
 
+// LHSObj resolves the object an assignment target ident denotes (nil for
+// `_` and non-ident targets).
+func LHSObj(info *types.Info, e ast.Expr) types.Object {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok || id.Name == "_" {
+		return nil
+	}
+	if def, ok := info.Defs[id]; ok && def != nil {
+		return def
+	}
+	return info.Uses[id]
+}
+
+// IdentIs reports whether e is an identifier that uses or defines obj
+// (false for a nil obj).
+func IdentIs(info *types.Info, e ast.Expr, obj types.Object) bool {
+	if obj == nil {
+		return false
+	}
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	return ok && (info.Uses[id] == obj || info.Defs[id] == obj)
+}
+
+// Mentions reports whether any identifier in n uses or defines obj
+// (false for a nil obj).
+func Mentions(info *types.Info, n ast.Node, obj types.Object) bool {
+	if obj == nil {
+		return false
+	}
+	found := false
+	ast.Inspect(n, func(m ast.Node) bool {
+		if found {
+			return false
+		}
+		if id, ok := m.(*ast.Ident); ok && (info.Uses[id] == obj || info.Defs[id] == obj) {
+			found = true
+		}
+		return true
+	})
+	return found
+}
+
+// IsBlank reports whether e is the blank identifier.
+func IsBlank(e ast.Expr) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	return ok && id.Name == "_"
+}
+
+// RecvName returns the bare name of fn's receiver type (looking through
+// pointers), or "" for package-level functions.
+func RecvName(fn *types.Func) string {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return ""
+	}
+	if n := NamedRecv(sig.Recv().Type()); n != nil {
+		return n.Obj().Name()
+	}
+	return ""
+}
+
 // ConstString returns the compile-time constant string value of expr, if
 // it has one.
 func ConstString(info *types.Info, expr ast.Expr) (string, bool) {

@@ -248,6 +248,40 @@ func TestIndexRange(t *testing.T) {
 	}
 }
 
+// A lookup value of the wrong Go type is an error, never a panic.
+func TestIndexLookupWrongTypeErrors(t *testing.T) {
+	d := testDB(t)
+	tbl, _ := d.CreateTable(Schema{Table: "typed", Columns: []Column{
+		{Name: "i", Type: TInt}, {Name: "f", Type: TFloat}, {Name: "s", Type: TString}, {Name: "b", Type: TBool},
+	}})
+	if _, err := tbl.Insert(Row{int64(1), 1.5, "x", true}); err != nil {
+		t.Fatal(err)
+	}
+	for _, col := range []string{"i", "f", "s", "b"} {
+		if err := tbl.CreateBTreeIndex(col); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		col  string
+		val  any
+		want string
+	}{
+		{"i", "x", "db: index key for int column: got string"},
+		{"f", int64(1), "db: index key for float column: got int64"},
+		{"s", 1.5, "db: index key for string column: got float64"},
+		{"b", "true", "db: index key for bool column: got string"},
+	} {
+		_, err := tbl.IndexLookup(c.col, c.val)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("IndexLookup(%q, %#v) = %v, want %q", c.col, c.val, err, c.want)
+		}
+		if _, err := tbl.IndexRange(c.col, c.val, nil); err == nil {
+			t.Errorf("IndexRange(%q, %#v) accepted a mistyped bound", c.col, c.val)
+		}
+	}
+}
+
 func TestFloatIndexKeyOrdering(t *testing.T) {
 	vals := []float64{-100.5, -1, -0.001, 0, 0.001, 1, 2.5, 1e9}
 	var prev []byte

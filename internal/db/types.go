@@ -329,39 +329,51 @@ func DecodeRow(s *Schema, reg *UDTRegistry, buf []byte, cols []int) (Row, error)
 }
 
 // IndexKey encodes a scalar value into a byte-comparable key for the B-tree
-// (memcmp order matches value order within each type).
+// (memcmp order matches value order within each type). A value whose Go
+// type does not match the column type is an error, not a panic: lookups
+// pass caller-supplied values straight through.
 func IndexKey(t ColType, v any) ([]byte, error) {
 	if v == nil {
 		return []byte{0}, nil // NULLs sort first under a 0 tag
 	}
 	switch t {
 	case TInt:
-		iv := v.(int64)
-		var b [9]byte
-		b[0] = 1
-		binary.BigEndian.PutUint64(b[1:], uint64(iv)^(1<<63)) // order-preserving bias
-		return b[:], nil
+		if iv, ok := v.(int64); ok {
+			var b [9]byte
+			b[0] = 1
+			binary.BigEndian.PutUint64(b[1:], uint64(iv)^(1<<63)) // order-preserving bias
+			return b[:], nil
+		}
 	case TFloat:
-		fv := v.(float64)
-		bits := math.Float64bits(fv)
-		if fv >= 0 {
-			bits ^= 1 << 63
-		} else {
-			bits = ^bits
+		if fv, ok := v.(float64); ok {
+			bits := math.Float64bits(fv)
+			if fv >= 0 {
+				bits ^= 1 << 63
+			} else {
+				bits = ^bits
+			}
+			var b [9]byte
+			b[0] = 1
+			binary.BigEndian.PutUint64(b[1:], bits)
+			return b[:], nil
 		}
-		var b [9]byte
-		b[0] = 1
-		binary.BigEndian.PutUint64(b[1:], bits)
-		return b[:], nil
 	case TString:
-		return append([]byte{1}, v.(string)...), nil
-	case TBool:
-		if v.(bool) {
-			return []byte{1, 1}, nil
+		if sv, ok := v.(string); ok {
+			return append([]byte{1}, sv...), nil
 		}
-		return []byte{1, 0}, nil
+	case TBool:
+		if bv, ok := v.(bool); ok {
+			if bv {
+				return []byte{1, 1}, nil
+			}
+			return []byte{1, 0}, nil
+		}
 	case TBytes:
-		return append([]byte{1}, v.([]byte)...), nil
+		if bv, ok := v.([]byte); ok {
+			return append([]byte{1}, bv...), nil
+		}
+	default:
+		return nil, fmt.Errorf("db: type %v is not indexable with a B-tree", t)
 	}
-	return nil, fmt.Errorf("db: type %v is not indexable with a B-tree", t)
+	return nil, fmt.Errorf("db: index key for %v column: got %T", t, v)
 }

@@ -397,7 +397,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	// In-flight work is acknowledged (or the deadline expired): close
 	// every session, which unblocks handlers waiting in ReadRequest.
-	// Snapshot under mu, close outside it (lockio).
+	// Snapshot under mu, close outside it (lockorder).
 	s.mu.Lock()
 	conns := make([]net.Conn, 0, len(s.conns))
 	for conn := range s.conns {

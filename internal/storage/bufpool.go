@@ -86,7 +86,7 @@ func (bp *BufferPool) Pin(id PageID) (*Page, error) {
 		}
 	}
 	fr := &frame{pins: 1}
-	//genalgvet:ignore lockio miss path reads under bp.mu by design: dropping the lock would let a racing Pin double-load the frame
+	//genalgvet:ignore lockorder miss path reads under bp.mu by design: dropping the lock would let a racing Pin double-load the frame
 	if err := bp.pager.Read(id, &fr.page); err != nil {
 		return nil, err
 	}
@@ -166,7 +166,7 @@ func (bp *BufferPool) FlushAll() error {
 	defer bp.mu.Unlock()
 	for id, fr := range bp.frames {
 		if fr.dirty {
-			//genalgvet:ignore lockio flush walks the frame table under bp.mu by design: an unlocked walk races concurrent Unpin(dirty) markings
+			//genalgvet:ignore lockorder flush walks the frame table under bp.mu by design: an unlocked walk races concurrent Unpin(dirty) markings
 			if err := bp.pager.Write(id, &fr.page); err != nil {
 				return fmt.Errorf("storage: flush of page %d: %w", id, err)
 			}

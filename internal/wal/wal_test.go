@@ -339,7 +339,9 @@ func TestCrashBeforeCheckpointRename(t *testing.T) {
 	if _, err := os.Stat(path + ".ckpt"); err != nil {
 		t.Fatalf("orphaned rewrite missing before reopen: %v", err)
 	}
-	// Restart: old log is authoritative, orphan removed.
+	// Restart: old log is authoritative, orphan removed. The crashed
+	// process's exit would drop its lock; closing the poisoned log does.
+	l.Close()
 	_, txns, rec, err := Open(path, testOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -361,5 +363,41 @@ func TestEmptyTxnRejected(t *testing.T) {
 	defer l.Close()
 	if _, err := l.AppendTxn(nil); err == nil {
 		t.Fatal("empty transaction accepted")
+	}
+}
+
+// TestSecondOpenOfLiveLogFails: a live Log excludes every other opener,
+// across a checkpoint's file swap, until it is closed.
+func TestSecondOpenOfLiveLogFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	l, _, _, err := Open(path, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.AppendTxn(mkTxn("t", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := Open(path, testOpts()); !errors.Is(err, ErrLocked) {
+		t.Fatalf("second open of a live log: %v, want ErrLocked", err)
+	}
+	err = l.Checkpoint(func(appendTxn func([]Record) error) error {
+		return appendTxn(mkTxn("t", 1))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := Open(path, testOpts()); !errors.Is(err, ErrLocked) {
+		t.Fatalf("second open after checkpoint: %v, want ErrLocked", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, txns, _, err := Open(path, testOpts())
+	if err != nil {
+		t.Fatalf("open after close: %v", err)
+	}
+	defer l2.Close()
+	if len(txns) != 1 {
+		t.Fatalf("recovered %d txns, want the 1 checkpointed", len(txns))
 	}
 }

@@ -186,7 +186,7 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 	if c.timeout > 0 {
 		deadline = time.Now().Add(c.timeout)
 	}
-	//genalgvet:ignore lockio c.mu is the request serializer: the strictly alternating protocol requires the deadline set, write, and read to happen as one critical section per round trip
+	//genalgvet:ignore lockorder c.mu is the request serializer: the strictly alternating protocol requires the deadline set, write, and read to happen as one critical section per round trip
 	if err := c.conn.SetDeadline(deadline); err != nil {
 		c.broken = err
 		return nil, err
