@@ -234,7 +234,8 @@ func e11EntityMatching() error {
 			}
 			entries := build(n, mutate)
 			start := time.Now()
-			merged, _, _, mstats := etl.IntegrateMatched(entries, etl.MatchOptions{})
+			matched, _, mstats := etl.MatchEntities(entries, etl.MatchOptions{})
+			merged, _ := etl.Integrate(matched)
 			fmt.Printf("%8d %10s %12v %8d %8d %10d\n", n, mode,
 				time.Since(start).Round(time.Millisecond),
 				mstats.ExactMerges, mstats.NearMerges, len(merged))

@@ -222,12 +222,3 @@ func rewriteValueID(v gdt.Value, id string) gdt.Value {
 	}
 	return v
 }
-
-// IntegrateMatched runs content-based entity matching and then the standard
-// reconciliation. The cross-reference map records which original accessions
-// were folded into which canonical entities.
-func IntegrateMatched(entries []Entry, opts MatchOptions) ([]Integrated, map[string]string, IntegrationStats, MatchStats) {
-	matched, xref, mstats := MatchEntities(entries, opts)
-	merged, istats := Integrate(matched)
-	return merged, xref, istats, mstats
-}

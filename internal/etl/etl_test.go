@@ -561,7 +561,8 @@ func crossAccessionEntries(t *testing.T, n int, mutate bool) []Entry {
 
 func TestMatchEntitiesExact(t *testing.T) {
 	entries := crossAccessionEntries(t, 12, false)
-	merged, xref, istats, mstats := IntegrateMatched(entries, MatchOptions{ExactOnly: true})
+	matched, xref, mstats := MatchEntities(entries, MatchOptions{ExactOnly: true})
+	merged, istats := Integrate(matched)
 	if mstats.ExactMerges != 12 || mstats.NearMerges != 0 {
 		t.Errorf("match stats = %+v", mstats)
 	}
@@ -593,7 +594,8 @@ func TestMatchEntitiesNearIdentity(t *testing.T) {
 	// Mutated copies (3 substitutions in 240 bases ≈ 98.8% identity) must
 	// merge through the near-match pass, not the exact one.
 	entries := crossAccessionEntries(t, 10, true)
-	merged, _, _, mstats := IntegrateMatched(entries, MatchOptions{})
+	matched, _, mstats := MatchEntities(entries, MatchOptions{})
+	merged, _ := Integrate(matched)
 	if mstats.NearMerges == 0 {
 		t.Fatalf("no near merges: %+v", mstats)
 	}
@@ -614,7 +616,7 @@ func TestMatchEntitiesNearIdentity(t *testing.T) {
 		t.Errorf("entities with retained alternatives = %d", withAlts)
 	}
 	// ExactOnly must NOT merge mutated copies.
-	_, _, _, mstats2 := IntegrateMatched(crossAccessionEntries(t, 10, true), MatchOptions{ExactOnly: true})
+	_, _, mstats2 := MatchEntities(crossAccessionEntries(t, 10, true), MatchOptions{ExactOnly: true})
 	if mstats2.ExactMerges != 0 || mstats2.NearMerges != 0 {
 		t.Errorf("exact-only merged mutated copies: %+v", mstats2)
 	}
@@ -625,7 +627,8 @@ func TestMatchEntitiesDistinctStayApart(t *testing.T) {
 	w := NewWrapper(ontology.Standard())
 	a, _ := w.WrapAll(sources.Generate(1, sources.GenOptions{N: 8, IDPrefix: "AAA"}), "s1")
 	b, _ := w.WrapAll(sources.Generate(999, sources.GenOptions{N: 8, IDPrefix: "BBB"}), "s2")
-	merged, xref, _, mstats := IntegrateMatched(append(a, b...), MatchOptions{})
+	matched, xref, mstats := MatchEntities(append(a, b...), MatchOptions{})
+	merged, _ := Integrate(matched)
 	if len(merged) != 16 || len(xref) != 0 {
 		t.Errorf("unrelated sequences merged: %d entities, xref %v, %+v", len(merged), xref, mstats)
 	}

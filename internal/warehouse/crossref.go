@@ -26,8 +26,9 @@ func (w *Warehouse) EnsureCrossRefTable() error {
 }
 
 // InitialLoadMatched bootstraps the warehouse like InitialLoad but resolves
-// cross-repository accession aliases by sequence content first. Original
-// accessions remain queryable through the crossrefs table.
+// cross-repository accession aliases by sequence content first. The
+// observations are stored under their canonical IDs; original accessions
+// remain queryable through the crossrefs table.
 func (w *Warehouse) InitialLoadMatched(repos []*sources.Repo, opts etl.MatchOptions) (etl.IntegrationStats, etl.MatchStats, error) {
 	var entries []etl.Entry
 	for _, r := range repos {
@@ -41,8 +42,9 @@ func (w *Warehouse) InitialLoadMatched(repos []*sources.Repo, opts etl.MatchOpti
 		}
 		entries = append(entries, es...)
 	}
-	merged, xref, istats, mstats := etl.IntegrateMatched(entries, opts)
-	if err := w.Load(merged); err != nil {
+	matched, xref, mstats := etl.MatchEntities(entries, opts)
+	istats, err := w.loadEntries(matched)
+	if err != nil {
 		return istats, mstats, err
 	}
 	if err := w.EnsureCrossRefTable(); err != nil {

@@ -10,9 +10,13 @@ import (
 	"strings"
 	"testing"
 
+	"genalg/internal/adapter"
 	"genalg/internal/db"
 	"genalg/internal/etl"
+	"genalg/internal/gdt"
+	"genalg/internal/genops"
 	"genalg/internal/ontology"
+	"genalg/internal/seq"
 	"genalg/internal/wal"
 )
 
@@ -180,8 +184,8 @@ func TestWarehouseCrashKeepsAcknowledged(t *testing.T) {
 	}
 
 	w2 := reopen(t, copyDurablePrefix(t, dir, w))
-	if got := dumpPublic(t, w2); !reflect.DeepEqual(got, want) {
-		t.Error("public space after recovery differs from the acknowledged state")
+	if d := diffPublic(dumpPublic(t, w2), want); d != "" {
+		t.Errorf("public space after recovery differs from the acknowledged state: %s", d)
 	}
 	r := mustQuery(t, w2, "bob", `SELECT note FROM alice_notes`)
 	if len(r.Rows) != 1 || r.Rows[0][0] != "acknowledged" {
@@ -277,5 +281,66 @@ func TestOpenDurableErrors(t *testing.T) {
 	if w, err := OpenDurable(file, 64, etl.NewWrapper(ontology.Standard())); err == nil {
 		w.Close()
 		t.Error("OpenDurable over a regular file succeeded")
+	}
+}
+
+// writeLegacyLog writes a log the way a warehouse did before the
+// observations table: the public tables named in tables, created through
+// the engine directly, and rows inserted into fragments.
+func writeLegacyLog(t *testing.T, dir string, tables []string, rows []db.Row) {
+	t.Helper()
+	schema := newWarehouse(t)
+	k := genops.NewKernel()
+	d, _, err := db.OpenDurable(dir, db.DurableOptions{Install: func(d *db.DB) error { return adapter.Install(d, k) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for _, name := range tables {
+		tbl, _ := schema.DB.Table(name)
+		if _, err := d.CreateTable(tbl.Schema()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	muts := make([]db.Mutation, len(rows))
+	for i, row := range rows {
+		muts[i] = db.Mutation{Kind: db.MutInsert, Row: row}
+	}
+	if err := d.ApplyDML(TableFragments, muts); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenDurableRefusesLogWithoutObservations checks that a log holding
+// public rows but no observations is refused: its merged rows cannot be
+// split back into the sources' observations, and maintaining them would
+// drop the other sources' data.
+func TestOpenDurableRefusesLogWithoutObservations(t *testing.T) {
+	dir := t.TempDir()
+	writeLegacyLog(t, dir, []string{TableFragments, TableGenes, TableFragmentAlts, TableGeneAlts},
+		[]db.Row{{"SYN000001", "o", "d", "embl1+genbank1", int64(1), 0.95, 0.95, int64(2),
+			gdt.DNA{ID: "SYN000001", Seq: seq.MustNucSeq(seq.AlphaDNA, "ACGTACGT")}}})
+	w, err := OpenDurable(dir, 64, etl.NewWrapper(ontology.Standard()))
+	if err == nil {
+		w.Close()
+		t.Fatal("a log without observations opened")
+	}
+	if !strings.Contains(err.Error(), "load the sources again") {
+		t.Errorf("error does not say the directory must be loaded again: %v", err)
+	}
+}
+
+// TestOpenDurableCompletesPartialSchema checks that a log which stopped
+// part-way through creating a new warehouse's schema, public tables
+// present but empty and no observations table yet, still opens and loads.
+func TestOpenDurableCompletesPartialSchema(t *testing.T) {
+	dir := t.TempDir()
+	writeLegacyLog(t, dir, []string{TableFragments, TableGenes}, nil)
+	w := reopen(t, dir)
+	if _, err := w.InitialLoad(context.Background(), twoRepos(t, 6)); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(dumpPublic(t, w)[TableObservations]); got != 12 {
+		t.Errorf("observations = %d, want 12", got)
 	}
 }

@@ -22,30 +22,33 @@ func testPolicy(seed int64) etl.RetryPolicy {
 	}
 }
 
+// figure2Monitors are the paper's Figure 2 change monitors, each as the
+// (capability, format) pair etl.ForRepo maps to it.
+var figure2Monitors = []struct {
+	name   string
+	cap    sources.Capability
+	format sources.Format
+}{
+	{"trigger", sources.CapActive, sources.FormatCSV},
+	{"log", sources.CapLogged, sources.FormatCSV},
+	{"snapshot-diff", sources.CapQueryable, sources.FormatCSV},
+	{"lcs-diff", sources.CapNonQueryable, sources.FormatFASTA},
+	{"tree-diff", sources.CapNonQueryable, sources.FormatACeDB},
+}
+
 // TestFaultMatrixConvergence is E13's core claim: for every Figure-2
 // monitor type and every injectable failure mode, a warehouse ingesting
 // through a faulty transport converges to the fault-free source state once
 // the faults stop — no lost updates, no phantom rows, at most quarantined
 // evidence on the side.
 func TestFaultMatrixConvergence(t *testing.T) {
-	monitors := []struct {
-		name   string
-		cap    sources.Capability
-		format sources.Format
-	}{
-		{"trigger", sources.CapActive, sources.FormatCSV},
-		{"log", sources.CapLogged, sources.FormatCSV},
-		{"snapshot-diff", sources.CapQueryable, sources.FormatCSV},
-		{"lcs-diff", sources.CapNonQueryable, sources.FormatFASTA},
-		{"tree-diff", sources.CapNonQueryable, sources.FormatACeDB},
-	}
 	modes := []faultsrc.Mode{
 		faultsrc.ModeTransient, faultsrc.ModeTimeout, faultsrc.ModeTruncate,
 		faultsrc.ModeCorrupt, faultsrc.ModePermanent,
 	}
 	const rounds, settle, updatesPerRound = 8, 3, 4
 
-	for mi, mon := range monitors {
+	for mi, mon := range figure2Monitors {
 		for fi, mode := range modes {
 			t.Run(fmt.Sprintf("%s/%s", mon.name, mode), func(t *testing.T) {
 				seed := int64(mi*100 + fi)

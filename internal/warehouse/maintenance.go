@@ -126,19 +126,17 @@ func (e *badRecordError) Unwrap() error { return e.err }
 // readable single-record evidence format.
 const formatForPayload = sources.FormatFASTA
 
-// applyDelta reconciles one source delta against the warehouse. The
-// maintenance is self-maintainable in the paper's sense: the existing
-// warehouse row plus the delta suffice.
+// applyDelta applies one source delta. The maintenance is
+// self-maintainable in the paper's sense: the delta plus the stored
+// observations suffice. An insert or update replaces the source's
+// observation of the entity, a delete removes it, and either way the
+// entity's public rows are rewritten from its observations by the same
+// integrator a reload runs, so both reach the same state.
 //
-// Semantics per kind:
-//   - insert: wrap and insert (merging if the entity already exists from
-//     another source).
-//   - update: re-wrap the after-image; if the warehouse row's primary came
-//     from this source (or the new observation has higher quality) replace
-//     it, else record it as an alternative.
-//   - delete: remove the rows whose *only* source was this one; for merged
-//     rows the other sources' data stays (the source string is rewritten).
+// The observation is written before the public rows. A crash between the
+// two leaves public rows the next delivery of the same delta rewrites.
 func (w *Warehouse) applyDelta(d etl.Delta) error {
+	var e *etl.Entry
 	switch d.Kind {
 	case sources.MutInsert, sources.MutUpdate:
 		if d.After == nil {
@@ -148,183 +146,89 @@ func (w *Warehouse) applyDelta(d etl.Delta) error {
 		if err != nil {
 			return &badRecordError{err: err}
 		}
-		return w.upsertEntry(entry)
+		e = &entry
 	case sources.MutDelete:
-		return w.removeSourceObservation(d.ID, d.Source)
+	default:
+		return fmt.Errorf("unknown delta kind %v", d.Kind)
 	}
-	return fmt.Errorf("unknown delta kind %v", d.Kind)
+	if err := w.replaceObservation(d.ID, d.Source, e); err != nil {
+		return err
+	}
+	return w.reconcileEntity(d.ID)
 }
 
-// upsertEntry merges a new observation into the public space.
-func (w *Warehouse) upsertEntry(e etl.Entry) error {
-	main, altsTable, _, err := tableFor(e.Value)
+// observationRow is an entry's observations row.
+func observationRow(e etl.Entry) db.Row {
+	return db.Row{e.ID, e.Source, e.TermID, e.Organism, e.Description,
+		int64(e.Version), e.Quality, e.Value.Pack()}
+}
+
+// replaceObservation deletes source's observations of id and, when e is
+// not nil, inserts e in their place, in one statement.
+func (w *Warehouse) replaceObservation(id, source string, e *etl.Entry) error {
+	tbl, _ := w.DB.Table(TableObservations)
+	rids, err := tbl.IndexLookup("id", id)
 	if err != nil {
 		return err
 	}
-	tbl, _ := w.DB.Table(main)
-	rids, err := tbl.IndexLookup("id", e.ID)
-	if err != nil {
-		return err
-	}
-	if len(rids) == 0 {
-		// Fresh entity: also check the *other* table pair in case the
-		// entity changed kind (a fragment gaining exon structure becomes a
-		// gene); drop stale rows there.
-		if err := w.deleteEntity(e.ID); err != nil {
-			return err
-		}
-		merged, _ := etl.Integrate([]etl.Entry{e})
-		return w.loadIntegrated(merged[0])
-	}
-	// Merge with the existing row: rebuild the observation set from the
-	// stored primary + alternatives + the new observation, then re-integrate.
-	row, err := tbl.Get(rids[0])
-	if err != nil {
-		return err
-	}
-	existing := rowToEntry(row, e.TermID)
-	// Skip self-merge: if the update came from a source already recorded as
-	// primary, the new observation replaces it.
-	obs := []etl.Entry{e}
-	if existing.Source != e.Source {
-		obs = append(obs, existing)
-	}
-	at, _ := w.DB.Table(altsTable)
-	altRIDs, err := at.IndexLookup("id", e.ID)
-	if err != nil {
-		return err
-	}
-	for _, arid := range altRIDs {
-		arow, err := at.Get(arid)
+	sourceOnly := db.KeepColumns(len(tbl.Schema().Columns), 1)
+	var muts []db.Mutation
+	for _, rid := range rids {
+		row, err := tbl.Get(rid, sourceOnly...)
 		if err != nil {
 			return err
 		}
-		prov, _ := arow[1].(string)
-		if prov == e.Source {
-			continue // superseded by the new observation
+		if row[0] == source {
+			muts = append(muts, db.Mutation{Kind: db.MutDelete, RID: rid})
+		}
+	}
+	if e != nil {
+		muts = append(muts, db.Mutation{Kind: db.MutInsert, Row: observationRow(*e)})
+	}
+	return w.DB.ApplyDML(TableObservations, muts)
+}
+
+// reconcileEntity rewrites id's public rows from its observations: it
+// deletes them, and integrates and loads the observations that remain.
+// An entity nobody observes any more leaves the public space.
+func (w *Warehouse) reconcileEntity(id string) error {
+	tbl, _ := w.DB.Table(TableObservations)
+	rids, err := tbl.IndexLookup("id", id)
+	if err != nil {
+		return err
+	}
+	obs := make([]etl.Entry, 0, len(rids))
+	for _, rid := range rids {
+		row, err := tbl.Get(rid)
+		if err != nil {
+			return err
+		}
+		v, err := gdt.Unpack(row[7].([]byte))
+		if err != nil {
+			return fmt.Errorf("observation of %s from %s: %w", id, row[1], err)
 		}
 		obs = append(obs, etl.Entry{
-			ID: e.ID, TermID: e.TermID, Source: prov,
-			Quality:  arow[2].(float64),
-			Value:    arow[3].(gdt.Value),
-			Organism: existing.Organism, Description: existing.Description,
-			Version: existing.Version,
+			ID: id, Source: row[1].(string), TermID: row[2].(string),
+			Organism: row[3].(string), Description: row[4].(string),
+			Version: int(row[5].(int64)), Quality: row[6].(float64), Value: v,
 		})
 	}
-	if err := w.deleteEntity(e.ID); err != nil {
+	if err := w.deleteEntity(id); err != nil {
 		return err
+	}
+	if len(obs) == 0 {
+		return nil
 	}
 	merged, _ := etl.Integrate(obs)
 	return w.loadIntegrated(merged[0])
 }
 
-// rowToEntry reconstructs an Entry from a primary public-space row.
-func rowToEntry(row db.Row, termID string) etl.Entry {
-	return etl.Entry{
-		ID:          row[0].(string),
-		TermID:      termID,
-		Organism:    row[1].(string),
-		Description: row[2].(string),
-		Source:      row[3].(string),
-		Version:     int(row[4].(int64)),
-		Quality:     row[5].(float64),
-		Value:       row[8].(gdt.Value),
-	}
-}
-
-// removeSourceObservation handles a source-side delete: observations from
-// that source disappear; entities with no remaining observations are
-// removed entirely.
-func (w *Warehouse) removeSourceObservation(id, source string) error {
-	for _, pair := range [][3]string{
-		{TableFragments, TableFragmentAlts, "fragment"},
-		{TableGenes, TableGeneAlts, "gene"},
-	} {
-		tbl, _ := w.DB.Table(pair[0])
-		rids, err := tbl.IndexLookup("id", id)
-		if err != nil {
-			return err
-		}
-		if len(rids) == 0 {
-			continue
-		}
-		row, err := tbl.Get(rids[0])
-		if err != nil {
-			return err
-		}
-		at, _ := w.DB.Table(pair[1])
-		altRIDs, err := at.IndexLookup("id", id)
-		if err != nil {
-			return err
-		}
-		// Collect surviving observations (primary + alts not from source).
-		var obs []etl.Entry
-		primarySources := splitSources(row[3].(string))
-		surviving := removeString(primarySources, source)
-		if len(surviving) > 0 {
-			e := rowToEntry(row, "")
-			e.Source = surviving[0]
-			obs = append(obs, e)
-		}
-		for _, arid := range altRIDs {
-			arow, err := at.Get(arid)
-			if err != nil {
-				return err
-			}
-			prov, _ := arow[1].(string)
-			if prov == source {
-				continue
-			}
-			obs = append(obs, etl.Entry{
-				ID: id, Source: prov, Quality: arow[2].(float64),
-				Value: arow[3].(gdt.Value), Organism: row[1].(string),
-				Description: row[2].(string), Version: int(row[4].(int64)),
-			})
-		}
-		if err := w.deleteEntity(id); err != nil {
-			return err
-		}
-		if len(obs) == 0 {
-			return nil
-		}
-		merged, _ := etl.Integrate(obs)
-		return w.loadIntegrated(merged[0])
-	}
-	return nil
-}
-
-func splitSources(s string) []string {
-	var out []string
-	cur := ""
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == '+' {
-			if cur != "" {
-				out = append(out, cur)
-			}
-			cur = ""
-			continue
-		}
-		cur += string(s[i])
-	}
-	return out
-}
-
-func removeString(ss []string, drop string) []string {
-	var out []string
-	for _, s := range ss {
-		if s != drop {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // FullReload is the paper's baseline maintenance strategy ("one can always
 // update the warehouse by reloading the entire contents"): it wipes the
-// public space and re-extracts everything from the sources. E3 measures it
-// against ApplyDeltas.
+// public space and its observations and re-extracts everything from the
+// sources. E3 measures it against ApplyDeltas.
 func (w *Warehouse) FullReload(repos []*sources.Repo) error {
-	for _, pair := range []string{TableFragments, TableGenes, TableFragmentAlts, TableGeneAlts} {
+	for _, pair := range []string{TableObservations, TableFragments, TableGenes, TableFragmentAlts, TableGeneAlts} {
 		tbl, _ := w.DB.Table(pair)
 		var rids []storage.RID
 		err := tbl.Scan(db.KeepColumns(len(tbl.Schema().Columns)), func(rid storage.RID, _ db.Row) bool {

@@ -2,6 +2,7 @@ package warehouse
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -11,20 +12,39 @@ import (
 	"genalg/internal/sources"
 )
 
-// dumpPublic reads the full ordered contents of the public space, used to
-// compare warehouses loaded with different worker counts.
+// dumpPublic reads every column of the observations and the four derived
+// public tables, ordered by key: the state a reload and incremental
+// maintenance must agree on, and a recovered warehouse must keep.
 func dumpPublic(t *testing.T, w *Warehouse) map[string][]db.Row {
 	t.Helper()
 	out := make(map[string][]db.Row)
 	for _, q := range []struct{ name, sql string }{
-		{TableFragments, `SELECT id, organism, source, version, quality, nsources FROM fragments ORDER BY id`},
-		{TableGenes, `SELECT id, organism, source, version, quality, nsources FROM genes ORDER BY id`},
-		{TableFragmentAlts, `SELECT id, provenance, confidence FROM fragment_alts ORDER BY id, provenance`},
-		{TableGeneAlts, `SELECT id, provenance, confidence FROM gene_alts ORDER BY id, provenance`},
+		{TableObservations, `SELECT * FROM observations ORDER BY id, source`},
+		{TableFragments, `SELECT * FROM fragments ORDER BY id`},
+		{TableGenes, `SELECT * FROM genes ORDER BY id`},
+		{TableFragmentAlts, `SELECT * FROM fragment_alts ORDER BY id, provenance`},
+		{TableGeneAlts, `SELECT * FROM gene_alts ORDER BY id, provenance`},
 	} {
 		out[q.name] = mustQuery(t, w, "alice", q.sql).Rows
 	}
 	return out
+}
+
+// diffPublic describes the first difference between two dumpPublic
+// results; empty when they are equal.
+func diffPublic(got, want map[string][]db.Row) string {
+	for _, tbl := range []string{TableObservations, TableFragments, TableGenes, TableFragmentAlts, TableGeneAlts} {
+		g, w := got[tbl], want[tbl]
+		for i := 0; i < len(g) && i < len(w); i++ {
+			if !reflect.DeepEqual(g[i], w[i]) {
+				return fmt.Sprintf("%s row %d: got %v, want %v", tbl, i, g[i], w[i])
+			}
+		}
+		if len(g) != len(w) {
+			return fmt.Sprintf("%s: %d rows, want %d", tbl, len(g), len(w))
+		}
+	}
+	return ""
 }
 
 // TestInitialLoadParallelMatchesSerial is the determinism guard for the
@@ -49,11 +69,8 @@ func TestInitialLoadParallelMatchesSerial(t *testing.T) {
 		if statsP != statsS {
 			t.Fatalf("workers=%d: stats %+v != serial %+v", workers, statsP, statsS)
 		}
-		got := dumpPublic(t, par)
-		for tbl, rows := range want {
-			if !reflect.DeepEqual(rows, got[tbl]) {
-				t.Fatalf("workers=%d: table %s differs from serial load", workers, tbl)
-			}
+		if d := diffPublic(dumpPublic(t, par), want); d != "" {
+			t.Fatalf("workers=%d: differs from serial load: %s", workers, d)
 		}
 	}
 }

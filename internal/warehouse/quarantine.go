@@ -108,11 +108,12 @@ type LoadReport struct {
 }
 
 // InitialLoadReport wraps, integrates, and loads the full contents of the
-// given repositories with graceful degradation: a failing source is
-// skipped and reported rather than aborting the bootstrap, flaky fetches
-// retry under policy, and malformed records land in the quarantine table
-// with their raw payload and rejection reason. The returned error is
-// reserved for warehouse-side (storage) failures.
+// given repositories, storing each source's observations, with graceful
+// degradation: a failing source is skipped and reported rather than
+// aborting the bootstrap, flaky fetches retry under policy, and malformed
+// records land in the quarantine table with their raw payload and
+// rejection reason. The returned error is reserved for warehouse-side
+// (storage) failures.
 //
 // Parsing and wrapping fan out across w.Workers goroutines; entries are
 // concatenated in repository order before integration, so the result is
@@ -179,12 +180,12 @@ func (w *Warehouse) InitialLoadReport(ctx context.Context, repos []sources.Repos
 			rep.Quarantined++
 		}
 	}
-	merged, stats := etl.Integrate(entries)
-	if err := w.Load(merged); err != nil {
+	stats, err := w.loadEntries(entries)
+	if err != nil {
 		sp.EndSpan(err)
 		return stats, rep, err
 	}
-	obs.Default.Counter("warehouse.load.entities").Add(int64(len(merged)))
+	obs.Default.Counter("warehouse.load.entities").Add(int64(stats.Entities))
 	obs.Default.Counter("warehouse.load.quarantined").Add(int64(rep.Quarantined))
 	obs.Default.Counter("warehouse.load.source_failures").Add(int64(len(rep.Failed)))
 	sp.SetAttr("loaded", rep.Loaded)

@@ -34,6 +34,12 @@ const (
 	TableGenes        = "genes"
 	TableFragmentAlts = "fragment_alts"
 	TableGeneAlts     = "gene_alts"
+	// TableObservations holds what each source last said about each
+	// entity, one row per (id, source) with the value packed:
+	// observations(id, source, term, organism, description, version,
+	// quality, value). The four tables above are derived from it by the
+	// integrator; their joined source column is display only.
+	TableObservations = "observations"
 	TableArchive      = "archive"
 	TableQuarantine   = "quarantine"
 	// TableUserTables records each user table's owner and whether it is
@@ -108,12 +114,34 @@ func openDurable(dir string, opts db.DurableOptions, wrapper *etl.Wrapper) (*War
 	if err != nil {
 		return nil, err
 	}
+	if err := checkObservations(d); err != nil {
+		d.Close()
+		return nil, fmt.Errorf("warehouse: %s: %w", dir, err)
+	}
 	w, err := initWarehouse(d, k, wrapper)
 	if err != nil {
 		d.Close()
 		return nil, err
 	}
 	return w, nil
+}
+
+// checkObservations refuses a log whose public rows have no observations
+// table behind them. Maintenance rewrites an entity from its observations,
+// so on such a log the first delta for a merged entity would drop the
+// other sources' data, and the observations cannot be rebuilt from the
+// joined display rows. A log that stopped part-way through creating a
+// new warehouse's schema holds no public rows and opens.
+func checkObservations(d *db.DB) error {
+	if _, ok := d.Table(TableObservations); ok {
+		return nil
+	}
+	for _, name := range []string{TableFragments, TableGenes} {
+		if tbl, ok := d.Table(name); ok && tbl.RowCount() > 0 {
+			return fmt.Errorf("public rows without an %s table: the log predates per-source observations; load the sources again into a new directory", TableObservations)
+		}
+	}
+	return nil
 }
 
 // initWarehouse wraps an engine that has the Genomics Algebra installed and
@@ -186,6 +214,19 @@ func (w *Warehouse) createIntegratedSchema() error {
 			},
 		},
 		{
+			Table: TableObservations,
+			Columns: []db.Column{
+				{Name: "id", Type: db.TString, NotNull: true},
+				{Name: "source", Type: db.TString, NotNull: true},
+				{Name: "term", Type: db.TString},
+				{Name: "organism", Type: db.TString},
+				{Name: "description", Type: db.TString},
+				{Name: "version", Type: db.TInt},
+				{Name: "quality", Type: db.TFloat},
+				{Name: "value", Type: db.TBytes},
+			},
+		},
+		{
 			Table: TableArchive,
 			Columns: []db.Column{
 				{Name: "id", Type: db.TString, NotNull: true},
@@ -220,7 +261,8 @@ func (w *Warehouse) createIntegratedSchema() error {
 	// The integrated schema is indexed on id for incremental maintenance,
 	// user_tables on name for the space checks.
 	indexed := map[string]string{TableFragments: "id", TableGenes: "id",
-		TableFragmentAlts: "id", TableGeneAlts: "id", TableUserTables: "name"}
+		TableFragmentAlts: "id", TableGeneAlts: "id", TableObservations: "id",
+		TableUserTables: "name"}
 	for _, s := range schemas {
 		if err := w.ensureTable(s, indexed[s.Table]); err != nil {
 			return err
@@ -250,7 +292,7 @@ func (w *Warehouse) ensureTable(s db.Schema, btreeCol string) error {
 // and genomes tables exist once AssembleGenomes has run.
 func PublicTables() []string {
 	return []string{TableFragments, TableGenes, TableFragmentAlts, TableGeneAlts,
-		TableArchive, TableQuarantine, TableChromosomes, TableGenomes, TableCrossRefs,
+		TableObservations, TableArchive, TableQuarantine, TableChromosomes, TableGenomes, TableCrossRefs,
 		TableUserTables}
 }
 
@@ -437,14 +479,14 @@ func (w *Warehouse) ShareTable(user, table string) error {
 }
 
 // tableFor returns the public table pair for an entry's GDT kind.
-func tableFor(v gdt.Value) (main, alts, col string, err error) {
+func tableFor(v gdt.Value) (main, alts string, err error) {
 	switch v.Kind() {
 	case gdt.KindGene:
-		return TableGenes, TableGeneAlts, "gene", nil
+		return TableGenes, TableGeneAlts, nil
 	case gdt.KindDNA:
-		return TableFragments, TableFragmentAlts, "fragment", nil
+		return TableFragments, TableFragmentAlts, nil
 	}
-	return "", "", "", fmt.Errorf("warehouse: no public table for GDT kind %v", v.Kind())
+	return "", "", fmt.Errorf("warehouse: no public table for GDT kind %v", v.Kind())
 }
 
 // loadIntegrated inserts one integrated entity (primary row plus
@@ -454,7 +496,7 @@ func (w *Warehouse) loadIntegrated(ig etl.Integrated) error {
 	if !ok {
 		return fmt.Errorf("warehouse: integrated entity %s has no value", ig.ID)
 	}
-	main, altsTable, _, err := tableFor(v)
+	main, altsTable, err := tableFor(v)
 	if err != nil {
 		return err
 	}
@@ -473,36 +515,42 @@ func (w *Warehouse) loadIntegrated(ig etl.Integrated) error {
 	return w.DB.ApplyDML(altsTable, muts)
 }
 
-// Load performs the initial (or full re-) load of integrated entities into
-// the public space.
-func (w *Warehouse) Load(entities []etl.Integrated) error {
-	for _, ig := range entities {
+// loadEntries stores wrapped entries as observations, in one statement,
+// then integrates them and writes the public rows they derive.
+func (w *Warehouse) loadEntries(entries []etl.Entry) (etl.IntegrationStats, error) {
+	muts := make([]db.Mutation, len(entries))
+	for i, e := range entries {
+		muts[i] = db.Mutation{Kind: db.MutInsert, Row: observationRow(e)}
+	}
+	if err := w.DB.ApplyDML(TableObservations, muts); err != nil {
+		return etl.IntegrationStats{}, err
+	}
+	merged, stats := etl.Integrate(entries)
+	for _, ig := range merged {
 		if err := w.loadIntegrated(ig); err != nil {
-			return err
+			return stats, err
 		}
 	}
-	return nil
+	return stats, nil
 }
 
 // deleteEntity removes an entity's rows from both the primary and
 // alternative tables, using the id indexes.
 func (w *Warehouse) deleteEntity(id string) error {
-	for _, pair := range [][2]string{{TableFragments, TableFragmentAlts}, {TableGenes, TableGeneAlts}} {
-		for _, tname := range pair {
-			tbl, _ := w.DB.Table(tname)
-			rids, err := tbl.IndexLookup("id", id)
-			if err != nil {
-				return err
-			}
-			muts := make([]db.Mutation, 0, len(rids))
-			for _, rid := range rids {
-				muts = append(muts, db.Mutation{Kind: db.MutDelete, RID: rid})
-			}
-			// One statement per table: the entity's rows vanish atomically
-			// for readers and as one WAL transaction on durable engines.
-			if err := w.DB.ApplyDML(tname, muts); err != nil {
-				return err
-			}
+	for _, tname := range []string{TableFragments, TableFragmentAlts, TableGenes, TableGeneAlts} {
+		tbl, _ := w.DB.Table(tname)
+		rids, err := tbl.IndexLookup("id", id)
+		if err != nil {
+			return err
+		}
+		muts := make([]db.Mutation, 0, len(rids))
+		for _, rid := range rids {
+			muts = append(muts, db.Mutation{Kind: db.MutDelete, RID: rid})
+		}
+		// One statement per table: the entity's rows vanish atomically
+		// for readers and as one WAL transaction on durable engines.
+		if err := w.DB.ApplyDML(tname, muts); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -518,45 +566,26 @@ func (w *Warehouse) CountPublic() int {
 	return n
 }
 
-// ArchiveSource preserves every public-space row that originated (possibly
-// jointly) from the named source into the archive table (requirement C15:
-// "the company's valuable knowledge should be preserved"). Rows remain in
-// the public space; the archive holds packed copies with a logical
-// timestamp.
+// ArchiveSource copies every observation the named source contributed
+// into the archive table (requirement C15: "the company's valuable
+// knowledge should be preserved"). The public space is unchanged; the
+// archive holds the packed values with a logical timestamp.
 func (w *Warehouse) ArchiveSource(source string, tick int64) (int, error) {
-	archived := 0
-	for _, spec := range []struct {
-		table string
-		vcol  int
-	}{{TableFragments, 8}, {TableGenes, 8}} {
-		tbl, _ := w.DB.Table(spec.table)
-		type pendingRow struct {
-			id      string
-			payload []byte
+	tbl, _ := w.DB.Table(TableObservations)
+	var muts []db.Mutation
+	err := tbl.Scan(nil, func(_ storage.RID, row db.Row) bool {
+		if row[1] == source {
+			muts = append(muts, db.Mutation{Kind: db.MutInsert, Row: db.Row{row[0], source, tick, row[7]}})
 		}
-		var rows []pendingRow
-		scanErr := tbl.Scan(nil, func(rid storage.RID, row db.Row) bool {
-			src, _ := row[3].(string)
-			if !strings.Contains("+"+src+"+", "+"+source+"+") {
-				return true
-			}
-			v := row[spec.vcol].(gdt.Value)
-			rows = append(rows, pendingRow{id: row[0].(string), payload: v.Pack()})
-			return true
-		})
-		if scanErr != nil {
-			return archived, scanErr
-		}
-		muts := make([]db.Mutation, 0, len(rows))
-		for _, pr := range rows {
-			muts = append(muts, db.Mutation{Kind: db.MutInsert, Row: db.Row{pr.id, source, tick, pr.payload}})
-		}
-		if err := w.DB.ApplyDML(TableArchive, muts); err != nil {
-			return archived, err
-		}
-		archived += len(rows)
+		return true
+	})
+	if err != nil {
+		return 0, err
 	}
-	return archived, nil
+	if err := w.DB.ApplyDML(TableArchive, muts); err != nil {
+		return 0, err
+	}
+	return len(muts), nil
 }
 
 // RestoreFromArchive returns the packed GDT values archived for a source.

@@ -242,41 +242,6 @@ func assertRecordsPresent(t *testing.T, w *Warehouse, recs []sources.Record) {
 	}
 }
 
-func TestIncrementalEqualsFullReload(t *testing.T) {
-	// Core self-maintainability check: applying deltas yields the same
-	// state as reloading from scratch.
-	wInc := newWarehouse(t)
-	wFull := newWarehouse(t)
-	repo1 := sources.NewRepo("src", sources.FormatCSV, sources.CapQueryable,
-		sources.Generate(300, sources.GenOptions{N: 50}))
-	repo2 := sources.NewRepo("src", sources.FormatCSV, sources.CapQueryable,
-		sources.Generate(300, sources.GenOptions{N: 50}))
-	if _, err := wInc.InitialLoad(context.Background(), []*sources.Repo{repo1}); err != nil {
-		t.Fatal(err)
-	}
-	det, err := etl.NewSnapshotDiffMonitor(context.Background(), repo1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repo1.ApplyRandomUpdates(11, 25)
-	repo2.ApplyRandomUpdates(11, 25) // identical mutation stream
-	deltas, err := det.Poll(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wInc.ApplyDeltas(context.Background(), deltas); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wFull.InitialLoad(context.Background(), []*sources.Repo{repo2}); err != nil {
-		t.Fatal(err)
-	}
-	assertMirrors(t, wInc, repo1)
-	assertMirrors(t, wFull, repo2)
-	if wInc.CountPublic() != wFull.CountPublic() {
-		t.Errorf("incremental %d entities, full reload %d", wInc.CountPublic(), wFull.CountPublic())
-	}
-}
-
 func TestManualRefreshDefersUpdates(t *testing.T) {
 	w := newWarehouse(t)
 	repo := sources.NewRepo("src", sources.FormatCSV, sources.CapQueryable,
@@ -329,33 +294,46 @@ func TestDeleteOfMergedEntityKeepsOtherSource(t *testing.T) {
 	}
 }
 
+// TestArchiveAndRestore archives each of two overlapping sources: every
+// value restored must be one of that source's own records, not the merged
+// entity's primary, which may have come from the other source.
 func TestArchiveAndRestore(t *testing.T) {
 	w := newWarehouse(t)
 	repos := twoRepos(t, 12)
 	if _, err := w.InitialLoad(context.Background(), repos); err != nil {
 		t.Fatal(err)
 	}
-	n, err := w.ArchiveSource("genbank1", 12345)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 12 {
-		t.Errorf("archived = %d, want 12", n)
-	}
-	restored, err := w.RestoreFromArchive("genbank1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(restored) != 12 {
-		t.Errorf("restored = %d", len(restored))
-	}
-	for _, v := range restored {
-		if v.Kind() != gdt.KindDNA && v.Kind() != gdt.KindGene {
-			t.Errorf("restored kind = %v", v.Kind())
+	for i, repo := range repos {
+		n, err := w.ArchiveSource(repo.Name(), int64(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 12 {
+			t.Errorf("%s: archived = %d, want 12", repo.Name(), n)
+		}
+		restored, err := w.RestoreFromArchive(repo.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(restored) != 12 {
+			t.Errorf("%s: restored = %d, want 12", repo.Name(), len(restored))
+		}
+		own, errs := w.wrapper.WrapAll(repo.Records(), repo.Name())
+		if len(errs) > 0 {
+			t.Fatal(errs[0])
+		}
+		for _, v := range restored {
+			found := false
+			for _, e := range own {
+				found = found || gdt.Equal(v, e.Value)
+			}
+			if !found {
+				t.Errorf("%s: restored %v is not one of its records", repo.Name(), v)
+			}
 		}
 	}
 	// Archive of an unknown source archives nothing.
-	n, err = w.ArchiveSource("nosuch", 1)
+	n, err := w.ArchiveSource("nosuch", 1)
 	if err != nil || n != 0 {
 		t.Errorf("unknown source archive = %d, %v", n, err)
 	}

@@ -35,6 +35,11 @@ import (
 // hostile) and the connection is dropped rather than buffered.
 const MaxFrame = 16 << 20
 
+// preallocFrame is the largest frame ReadFrame allocates in full on the
+// header's word. A larger frame's buffer grows as its bytes arrive, so a
+// peer announcing MaxFrame and then stalling pins only what it has sent.
+const preallocFrame = 64 << 10
+
 // Protocol op codes.
 const (
 	OpHello        = "hello"
@@ -95,6 +100,16 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > MaxFrame {
 		return nil, fmt.Errorf("wire: peer announced %d-byte frame (limit %d)", n, MaxFrame)
+	}
+	if n > preallocFrame {
+		payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
+		if err == nil && len(payload) < int(n) {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+		return payload, nil
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {

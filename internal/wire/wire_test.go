@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -49,6 +50,24 @@ func TestReadFrameTornPayload(t *testing.T) {
 		// io.ReadFull reports the tear; any error is acceptable but it
 		// must not be nil. Document the usual one.
 		t.Logf("torn frame error: %v", err)
+	}
+}
+
+// TestReadFrameStalledHugeHeader announces a MaxFrame payload and then
+// ends the stream: ReadFrame must report the tear without having
+// allocated the announced 16 MiB.
+func TestReadFrameStalledHugeHeader(t *testing.T) {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], MaxFrame)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(bytes.NewReader(hdr[:]))
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("allocated %d bytes for a frame that never arrived", alloc)
 	}
 }
 
@@ -190,6 +209,26 @@ func TestNumberValue(t *testing.T) {
 		}
 		if got := resp.Rows[0][0]; got != c.want {
 			t.Fatalf("numberValue(%s) = %v (%T), want %v (%T)", c.in, got, got, c.want, c.want)
+		}
+	}
+}
+
+// BenchmarkReadFrame reads a 20 KB frame, about perfbench's largest
+// request (a fixture INSERT of 64 fragment rows): two allocations, the
+// 4-byte header and the payload.
+func BenchmarkReadFrame(b *testing.B) {
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, bytes.Repeat([]byte("x"), 20<<10)); err != nil {
+		b.Fatal(err)
+	}
+	frame := buf.Bytes()
+	r := bytes.NewReader(frame)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(frame)))
+	for i := 0; i < b.N; i++ {
+		r.Reset(frame)
+		if _, err := ReadFrame(r); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
