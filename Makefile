@@ -111,12 +111,14 @@ smoke-loadgen:
 	./scripts/smoke_loadgen.sh
 
 # fuzz-short runs the sources parser fuzzer, the row decoder's column-map
-# fuzzer, the join-key equality property, the wire frame and request
-# decoders and the incremental-equals-reload oracle briefly (CI budget).
+# fuzzer, the join-key equality property, the plan cache's warm-equals-
+# cold property, the wire frame and request decoders and the
+# incremental-equals-reload oracle briefly (CI budget).
 fuzz-short:
 	$(GO) test ./internal/sources -run='^$$' -fuzz=FuzzParseFormats -fuzztime=10s
 	$(GO) test ./internal/db -run='^$$' -fuzz='^FuzzDecodeRow$$' -fuzztime=10s
 	$(GO) test ./internal/sqlang -run='^$$' -fuzz='^FuzzJoinKeyEquality$$' -fuzztime=10s
+	$(GO) test ./internal/sqlang -run='^$$' -fuzz='^FuzzPlanCache$$' -fuzztime=10s
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=10s
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzDecodeRequest$$' -fuzztime=10s
 	$(GO) test ./internal/warehouse -run='^$$' -fuzz='^FuzzIncrementalEqualsReload$$' -fuzztime=10s

@@ -262,7 +262,13 @@ func printCatalog(w *warehouse.Warehouse) {
 	}
 	fmt.Println("\npublic tables:")
 	for _, t := range warehouse.PublicTables() {
-		tbl, _ := w.DB.Table(t)
+		tbl, ok := w.DB.Table(t)
+		if !ok {
+			// Genome, chromosome and cross-reference tables appear once
+			// their loads first run.
+			fmt.Printf("  %-16s not created\n", t)
+			continue
+		}
 		fmt.Printf("  %-16s %d rows\n", t, tbl.RowCount())
 	}
 }
@@ -289,8 +295,8 @@ func runOne(ctx context.Context, w *warehouse.Warehouse, lang, user, geneID, que
 		if err != nil {
 			return err
 		}
-		if r.Plan != "" {
-			fmt.Printf("-- plan:\n%s", r.Plan)
+		if r.Plan() != "" {
+			fmt.Printf("-- plan:\n%s", r.Plan())
 		}
 		q := &biql.Query{Format: biql.FormatTable}
 		fmt.Println(biql.Render(q, r.Cols, r.Rows))

@@ -133,6 +133,7 @@ func runFuzz(args []string) error {
 	fmt.Printf("sqlregress: %d statements in %v (%.0f stmt/s), %d exec errors, %d divergence(s)\n",
 		res.Statements, res.Elapsed.Round(time.Millisecond),
 		float64(res.Statements)/res.Elapsed.Seconds(), res.ExecErrors, len(res.Divergences))
+	fmt.Printf("sqlregress: seed %d: %d plan-cache hits\n", *seed, res.PlanCacheHits)
 	for _, fd := range res.Divergences {
 		fmt.Printf("\n%s\nminimal reproducer:\n  %s;\n", fd.Divergence.String(), fd.Minimal)
 		if fd.File != "" {

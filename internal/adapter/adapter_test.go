@@ -153,8 +153,8 @@ func TestGenomicIndexWithAdapterContains(t *testing.T) {
 	mustExec(t, e, `INSERT INTO frags VALUES ('miss', dna('miss', 'CCCCCCCCCCCCCCCCCC'))`)
 	mustExec(t, e, `CREATE GENOMIC INDEX ON frags (f) USING 8`)
 	exp := mustExec(t, e, `EXPLAIN SELECT id FROM frags WHERE contains(f, 'ATTGCCATAGG')`)
-	if !strings.Contains(exp.Plan, "genomic index") {
-		t.Errorf("plan = %q", exp.Plan)
+	if !strings.Contains(exp.Plan(), "genomic index") {
+		t.Errorf("plan = %q", exp.Plan())
 	}
 	r := mustExec(t, e, `SELECT id FROM frags WHERE contains(f, 'ATTGCCATAGG')`)
 	if len(r.Rows) != 1 || r.Rows[0][0] != "hit" {

@@ -7,11 +7,12 @@
 //
 //   - net.Dial blocks without bound: use net.DialTimeout (or a
 //     net.Dialer with Timeout).
-//   - A read on a net.Conn (Conn.Read, or wire.ReadRequest/ReadFrame
-//     handed the conn) must be preceded — lexically, within the
-//     enclosing declaration — by SetReadDeadline or SetDeadline on the
-//     same expression. Writes (Conn.Write, wire.WriteMessage/WriteFrame)
-//     need SetWriteDeadline or SetDeadline likewise.
+//   - A read on a net.Conn or a framed *wire.Conn (Conn.Read, or
+//     wire.ReadRequest/ReadFrame handed the conn) must be preceded —
+//     lexically, within the enclosing declaration — by SetReadDeadline
+//     or SetDeadline on the same expression. Writes (Conn.Write,
+//     wire.WriteMessage/WriteFrame) need SetWriteDeadline or SetDeadline
+//     likewise.
 //   - An http.Server composite literal without ReadHeaderTimeout or
 //     ReadTimeout, and the http.ListenAndServe shortcuts (which cannot
 //     carry timeouts at all), are slowloris-vulnerable.
@@ -160,7 +161,14 @@ func isConn(info *types.Info, e ast.Expr) bool {
 		return false
 	}
 	n := analysis.NamedRecv(tv.Type)
-	if n == nil || n.Obj().Pkg() == nil || n.Obj().Pkg().Path() != "net" {
+	if n == nil || n.Obj().Pkg() == nil {
+		return false
+	}
+	switch pkg := n.Obj().Pkg(); {
+	case pkg.Name() == "wire":
+		// wire.Conn wraps a net.Conn and carries its deadlines.
+		return n.Obj().Name() == "Conn"
+	case pkg.Path() != "net":
 		return false
 	}
 	switch n.Obj().Name() {

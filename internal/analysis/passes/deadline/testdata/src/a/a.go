@@ -76,6 +76,19 @@ func wireColdRead(conn net.Conn) ([]byte, error) {
 	return wire.ReadFrame(conn) // want `wire read from conn without a read deadline`
 }
 
+// A framed wire.Conn is checked like the conn it wraps.
+func wireFramed(conn net.Conn) error {
+	wc := wire.NewConn(conn)
+	if err := wc.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
+		return err
+	}
+	req, err := wire.ReadRequest(wc)
+	if err != nil {
+		return err
+	}
+	return wire.WriteMessage(wc, req) // want `wire write to wc without a write deadline`
+}
+
 // Unbounded dial.
 func dial(addr string) (net.Conn, error) {
 	return net.Dial("tcp", addr) // want `net\.Dial blocks without bound`

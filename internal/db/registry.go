@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // UDTRegistry holds the opaque user-defined types known to an engine
@@ -73,6 +74,9 @@ type ExternalFunc struct {
 type FuncRegistry struct {
 	mu    sync.RWMutex
 	funcs map[string]ExternalFunc
+	// version counts Register calls, so a caller holding what it looked
+	// up can tell when a function may have been replaced.
+	version atomic.Uint64
 }
 
 // NewFuncRegistry returns an empty function registry.
@@ -88,8 +92,12 @@ func (r *FuncRegistry) Register(f ExternalFunc) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.funcs[f.Name] = f
+	r.version.Add(1)
 	return nil
 }
+
+// Version returns the number of Register calls so far.
+func (r *FuncRegistry) Version() uint64 { return r.version.Load() }
 
 // Get looks up a function by name.
 func (r *FuncRegistry) Get(name string) (ExternalFunc, bool) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"genalg/internal/btree"
 	"genalg/internal/kmeridx"
@@ -35,6 +36,9 @@ type Table struct {
 	// kmers maps column name to its genomic index.
 	kmers map[string]*kmeridx.Index
 	rows  int
+	// changes counts writes that can move a query plan: row inserts and
+	// deletes, index builds and vacuums. Bumped under mu's write lock.
+	changes atomic.Uint64
 }
 
 // Schema returns a copy of the table schema.
@@ -50,6 +54,11 @@ func (t *Table) RowCount() int {
 	defer t.mu.RUnlock()
 	return t.rows
 }
+
+// Changes returns the table's change counter: it moves whenever a row is
+// inserted or deleted or an index is built or rebuilt, so a plan that read
+// the table's row count or index set is current while it is unchanged.
+func (t *Table) Changes() uint64 { return t.changes.Load() }
 
 // Insert appends a row, maintaining all indexes, and returns its RID.
 func (t *Table) Insert(row Row) (storage.RID, error) {
@@ -73,6 +82,7 @@ func (t *Table) insertRawLocked(raw []byte, row Row) (storage.RID, error) {
 		return storage.RID{}, err
 	}
 	t.rows++
+	t.changes.Add(1)
 	return rid, nil
 }
 
@@ -154,6 +164,7 @@ func (t *Table) deleteLocked(rid storage.RID) ([]byte, Row, error) {
 		return nil, nil, err
 	}
 	t.rows--
+	t.changes.Add(1)
 	return buf, row, nil
 }
 
@@ -257,6 +268,7 @@ func (t *Table) CreateBTreeIndex(col string) error {
 		return err
 	}
 	t.btrees[col] = tree
+	t.changes.Add(1)
 	return nil
 }
 
@@ -313,6 +325,7 @@ func (t *Table) CreateGenomicIndex(col string, k int) error {
 		return err
 	}
 	t.kmers[col] = ix
+	t.changes.Add(1)
 	return nil
 }
 
@@ -478,5 +491,6 @@ func (t *Table) Vacuum() error {
 	}
 	t.heap = fresh
 	t.rows = count
+	t.changes.Add(1)
 	return nil
 }

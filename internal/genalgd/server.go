@@ -192,25 +192,23 @@ func (s *Server) drop(conn net.Conn) {
 	conn.Close()
 }
 
-// session is the per-connection state: the prepared-statement cache.
+// session is the per-connection state: the prepared statements' SQL, by
+// id. Executing one runs its text through the engine's plan cache, like
+// exec.
 type session struct {
 	nextStmt uint64
-	prepared map[uint64]preparedStmt
-}
-
-type preparedStmt struct {
-	stmt sqlang.Stmt
-	sql  string
+	prepared map[uint64]string
 }
 
 func (s *Server) handle(conn net.Conn) {
 	defer s.drop(conn)
-	sess := &session{prepared: make(map[uint64]preparedStmt)}
+	wc := wire.NewConn(conn)
+	sess := &session{prepared: make(map[uint64]string)}
 	for {
-		if err := conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
+		if err := wc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
 			return
 		}
-		req, err := wire.ReadRequest(conn)
+		req, err := wire.ReadRequest(wc)
 		if err != nil {
 			// EOF, idle timeout, or drain closing the socket under us.
 			return
@@ -218,7 +216,7 @@ func (s *Server) handle(conn net.Conn) {
 		s.frames.Inc()
 		// Every write below answers this request; arm the write deadline
 		// once so a client that stops reading cannot pin the session.
-		if err := conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
+		if err := wc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
 			return
 		}
 		// The inflight window spans execution AND the response write:
@@ -226,7 +224,7 @@ func (s *Server) handle(conn net.Conn) {
 		// drain waits for. beginWork refuses atomically with the
 		// draining flag.
 		if !s.beginWork() {
-			_ = wire.WriteMessage(conn, &wire.Response{
+			_ = wire.WriteMessage(wc, &wire.Response{
 				ID: req.ID, Error: "genalgd: server is draining", Draining: true,
 			})
 			return
@@ -234,7 +232,7 @@ func (s *Server) handle(conn net.Conn) {
 		start := time.Now()
 		resp, quit := s.dispatch(sess, req)
 		s.observeOp(req.Op, time.Since(start).Seconds())
-		err = wire.WriteMessage(conn, resp)
+		err = wire.WriteMessage(wc, resp)
 		s.endWork()
 		if err != nil || quit {
 			return
@@ -298,22 +296,21 @@ func (s *Server) dispatch(sess *session, req *wire.Request) (*wire.Response, boo
 		}
 		return renderResult(req.ID, res), false
 	case wire.OpPrepare:
-		stmt, err := sqlang.Parse(req.SQL)
-		if err != nil {
+		if _, err := sqlang.Parse(req.SQL); err != nil {
 			s.errs.Inc()
 			return &wire.Response{ID: req.ID, Error: err.Error()}, false
 		}
 		sess.nextStmt++
-		sess.prepared[sess.nextStmt] = preparedStmt{stmt: stmt, sql: req.SQL}
+		sess.prepared[sess.nextStmt] = req.SQL
 		return &wire.Response{ID: req.ID, Stmt: sess.nextStmt}, false
 	case wire.OpExecPrepared:
-		p, ok := sess.prepared[req.Stmt]
+		sql, ok := sess.prepared[req.Stmt]
 		if !ok {
 			s.errs.Inc()
 			return &wire.Response{ID: req.ID, Error: fmt.Sprintf("genalgd: unknown prepared statement %d", req.Stmt)}, false
 		}
 		s.statements.Inc()
-		res, err := s.cfg.Engine.ExecStmtSQLCtx(context.Background(), p.stmt, p.sql)
+		res, err := s.cfg.Engine.Exec(sql)
 		if err != nil {
 			s.errs.Inc()
 			return &wire.Response{ID: req.ID, Error: err.Error()}, false
@@ -332,9 +329,10 @@ func (s *Server) dispatch(sess *session, req *wire.Request) (*wire.Response, boo
 
 // renderResult converts an engine result to its wire form. Scalar values
 // pass through; bytes and opaque genomic values cross as rendered strings
-// (the wire is a presentation boundary).
+// (the wire is a presentation boundary). The plan is not sent: EXPLAIN
+// returns it as its result row.
 func renderResult(id uint64, res *sqlang.Result) *wire.Response {
-	out := &wire.Response{ID: id, Cols: res.Cols, Affected: res.Affected, Plan: res.Plan}
+	out := &wire.Response{ID: id, Cols: res.Cols, Affected: res.Affected}
 	if len(res.Rows) > 0 {
 		out.Rows = make([][]any, len(res.Rows))
 		for i, row := range res.Rows {

@@ -1,7 +1,9 @@
 package genalgd
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -347,5 +349,77 @@ func TestPerOpLatencyHistograms(t *testing.T) {
 	}
 	if sum := reg.Histogram("genalgd.op.exec.seconds").Sum(); sum <= 0 {
 		t.Errorf("exec histogram sum = %v, want > 0", sum)
+	}
+}
+
+// TestPipelinedRequestsAnsweredInOrder sends two requests in one TCP
+// write: the server reads both from its buffer and answers each, in
+// order.
+func TestPipelinedRequestsAnsweredInOrder(t *testing.T) {
+	_, addr := startServer(t, Config{})
+	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	var batch bytes.Buffer
+	for _, req := range []*wire.Request{{ID: 1, Op: wire.OpHello}, {ID: 2, Op: wire.OpPing}, {ID: 3, Op: wire.OpExec, SQL: "NOT SQL"}} {
+		if err := wire.WriteMessage(&batch, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(batch.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	for id := uint64(1); id <= 3; id++ {
+		payload, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("response %d: %v", id, err)
+		}
+		var resp wire.Response
+		if err := json.Unmarshal(payload, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.ID != id {
+			t.Fatalf("response %d carries id %d", id, resp.ID)
+		}
+		if wantErr := id == 3; (resp.Error != "") != wantErr {
+			t.Fatalf("response %d: error %q", id, resp.Error)
+		}
+	}
+}
+
+// TestPreparedSelectUsesPlanCache: executing a prepared SELECT runs its
+// text through the engine's plan cache, as exec does.
+func TestPreparedSelectUsesPlanCache(t *testing.T) {
+	d, err := db.OpenMemory(512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sqlang.NewEngine(d)
+	eng.Obs = obs.New()
+	_, addr := startServer(t, Config{Engine: eng})
+	c := dial(t, addr)
+	defer c.Close()
+	mustExec(t, c, "CREATE TABLE n (x int)")
+	mustExec(t, c, "INSERT INTO n (x) VALUES (1), (2), (3)")
+	stmt, err := c.Prepare("SELECT x FROM n WHERE x > 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		res, err := c.ExecPrepared(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 2 {
+			t.Fatalf("execution %d: %d rows, want 2", i, len(res.Rows))
+		}
+	}
+	if hits := eng.Obs.Counter("sqlang.plan_cache.hits").Value(); hits != 2 {
+		t.Fatalf("plan cache hits = %d, want 2", hits)
 	}
 }

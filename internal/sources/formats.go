@@ -253,6 +253,11 @@ func parseFASTA(text string) ([]Record, error) {
 			if cur == nil {
 				return nil, fmt.Errorf("sources: fasta line %d: sequence before header", lineNo+1)
 			}
+			// Render re-wraps sequences at a fixed width, which could put
+			// this '>' at a line start and read back as a header.
+			if strings.Contains(line, ">") {
+				return nil, fmt.Errorf("sources: fasta line %d: '>' inside a sequence line", lineNo+1)
+			}
 			cur.Sequence += strings.ToUpper(line)
 		}
 	}

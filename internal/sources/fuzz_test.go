@@ -1,6 +1,9 @@
 package sources
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // FuzzParseFormats asserts no repository parser panics on arbitrary dumps.
 func FuzzParseFormats(f *testing.F) {
@@ -53,6 +56,9 @@ func TestParseRegressionCorpus(t *testing.T) {
 		{FormatGenBank, ""},
 		{FormatFASTA, "\x00\xff"},
 		{FormatCSV, "id,version,organism,description,sequence,exons\n\"unclosed,1,o,d,ACGT,"},
+		// A '>' inside a sequence line that Render's re-wrap would move to
+		// a line start, turning one record into two.
+		{FormatFASTA, ">\n" + strings.Repeat("0", 55) + "\n" + strings.Repeat("0", 15) + ">"},
 	}
 	for i, tc := range cases {
 		func() {

@@ -29,6 +29,11 @@ func (c *ColRef) String() string {
 // Lit is a literal constant: int64, float64, string, bool, or nil (NULL).
 type Lit struct {
 	Val any
+	// param numbers the parser's number and string literals from 1 in
+	// source order; it is 0 for TRUE, FALSE and NULL and for literals the
+	// engine builds. A cached plan reads each execution's value of a
+	// numbered literal from that position (see plancache.go).
+	param int
 }
 
 // String implements Expr.

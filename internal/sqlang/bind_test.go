@@ -130,7 +130,7 @@ func TestSharedStmtConcurrentExec(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					if !reflect.DeepEqual(want.Rows, got.Rows) || want.Plan != got.Plan {
+					if !reflect.DeepEqual(want.Rows, got.Rows) || want.Plan() != got.Plan() {
 						t.Errorf("concurrent execution diverged:\n%v\nwant\n%v", got.Rows, want.Rows)
 						return
 					}

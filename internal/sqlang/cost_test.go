@@ -30,14 +30,14 @@ func TestExplainRejectedPlans(t *testing.T) {
 	setupFragments(t, e, 50)
 	mustExec(t, e, `CREATE INDEX ON DNAFragments (id)`)
 	r := mustExec(t, e, `EXPLAIN SELECT * FROM DNAFragments WHERE id = 'F0007'`)
-	if !strings.Contains(r.Plan, "access: index eq DNAFragments.id") {
-		t.Fatalf("index path not chosen:\n%s", r.Plan)
+	if !strings.Contains(r.Plan(), "access: index eq DNAFragments.id") {
+		t.Fatalf("index path not chosen:\n%s", r.Plan())
 	}
-	if !strings.Contains(r.Plan, "plan cost: ") {
-		t.Errorf("plan missing chosen cost:\n%s", r.Plan)
+	if !strings.Contains(r.Plan(), "plan cost: ") {
+		t.Errorf("plan missing chosen cost:\n%s", r.Plan())
 	}
-	if !strings.Contains(r.Plan, "rejected plan: scan DNAFragments (cost=") {
-		t.Errorf("plan missing rejected scan alternative:\n%s", r.Plan)
+	if !strings.Contains(r.Plan(), "rejected plan: scan DNAFragments (cost=") {
+		t.Errorf("plan missing rejected scan alternative:\n%s", r.Plan())
 	}
 }
 
@@ -53,11 +53,11 @@ func TestCostBasedAccessPrefersScanOnTinyTable(t *testing.T) {
 	}
 	mustExec(t, e, `CREATE INDEX ON tiny (id)`)
 	r := mustExec(t, e, `EXPLAIN SELECT v FROM tiny WHERE id = 'T1'`)
-	if !strings.Contains(r.Plan, "access: scan tiny") {
-		t.Fatalf("3-row table should scan, not seek:\n%s", r.Plan)
+	if !strings.Contains(r.Plan(), "access: scan tiny") {
+		t.Fatalf("3-row table should scan, not seek:\n%s", r.Plan())
 	}
-	if !strings.Contains(r.Plan, "rejected plan: index eq tiny.id (cost=") {
-		t.Errorf("rejected index path not reported:\n%s", r.Plan)
+	if !strings.Contains(r.Plan(), "rejected plan: index eq tiny.id (cost=") {
+		t.Errorf("rejected index path not reported:\n%s", r.Plan())
 	}
 	got := mustExec(t, e, `SELECT v FROM tiny WHERE id = 'T1'`)
 	if len(got.Rows) != 1 || got.Rows[0][0] != 1.0 {
@@ -72,14 +72,14 @@ func TestJoinReorderSmallestDriver(t *testing.T) {
 	e := testEngine(t)
 	setupJoinTables(t, e, 5, 200)
 	r := mustExec(t, e, `EXPLAIN SELECT parent.organism, child.cid FROM child JOIN parent ON child.fk = parent.id`)
-	if !strings.Contains(r.Plan, "access: scan parent") {
-		t.Fatalf("driver should be the 5-row parent, not the 200-row child:\n%s", r.Plan)
+	if !strings.Contains(r.Plan(), "access: scan parent") {
+		t.Fatalf("driver should be the 5-row parent, not the 200-row child:\n%s", r.Plan())
 	}
-	if !strings.Contains(r.Plan, "hash join: child on (child.fk = parent.id)") {
-		t.Fatalf("equi-join should hash-join child:\n%s", r.Plan)
+	if !strings.Contains(r.Plan(), "hash join: child on (child.fk = parent.id)") {
+		t.Fatalf("equi-join should hash-join child:\n%s", r.Plan())
 	}
-	if !strings.Contains(r.Plan, "rejected plan: join order child, parent (cost=") {
-		t.Errorf("declared join order not reported as rejected:\n%s", r.Plan)
+	if !strings.Contains(r.Plan(), "rejected plan: join order child, parent (cost=") {
+		t.Errorf("declared join order not reported as rejected:\n%s", r.Plan())
 	}
 }
 
@@ -97,8 +97,8 @@ func TestJoinReorderPinnedUnderStats(t *testing.T) {
 		"[push (child.score < 0.5)",
 		"plan cost: ",
 	} {
-		if !strings.Contains(r.Plan, want) {
-			t.Errorf("plan missing %q:\n%s", want, r.Plan)
+		if !strings.Contains(r.Plan(), want) {
+			t.Errorf("plan missing %q:\n%s", want, r.Plan())
 		}
 	}
 }
@@ -110,11 +110,11 @@ func TestNonEquiJoinStaysNestedLoop(t *testing.T) {
 	e := testEngine(t)
 	setupJoinTables(t, e, 4, 12)
 	r := mustExec(t, e, `EXPLAIN SELECT child.cid FROM child, parent WHERE child.fk > parent.id`)
-	if !strings.Contains(r.Plan, "nested-loop join:") {
-		t.Fatalf("non-equi join should stay a nested loop:\n%s", r.Plan)
+	if !strings.Contains(r.Plan(), "nested-loop join:") {
+		t.Fatalf("non-equi join should stay a nested loop:\n%s", r.Plan())
 	}
-	if strings.Contains(r.Plan, "hash join:") {
-		t.Fatalf("no hash join possible here:\n%s", r.Plan)
+	if strings.Contains(r.Plan(), "hash join:") {
+		t.Fatalf("no hash join possible here:\n%s", r.Plan())
 	}
 }
 
@@ -157,17 +157,17 @@ func TestParallelScanMinRowsKnob(t *testing.T) {
 	q := `EXPLAIN SELECT id FROM DNAFragments WHERE quality < 0.5`
 
 	small := build(20)
-	if p := mustExec(t, small, q).Plan; strings.Contains(p, "parallel scan") {
+	if p := mustExec(t, small, q).Plan(); strings.Contains(p, "parallel scan") {
 		t.Fatalf("small table must stay serial at the default threshold:\n%s", p)
 	}
 	small.ParallelScanMinRows = 10
-	if p := mustExec(t, small, q).Plan; !strings.Contains(p, "parallel scan: 4 workers") {
+	if p := mustExec(t, small, q).Plan(); !strings.Contains(p, "parallel scan: 4 workers") {
 		t.Fatalf("knob at 10 rows should parallelize the 20-row table:\n%s", p)
 	}
 
 	big := build(600)
 	big.ParallelScanMinRows = 10000
-	if p := mustExec(t, big, q).Plan; strings.Contains(p, "parallel scan") {
+	if p := mustExec(t, big, q).Plan(); strings.Contains(p, "parallel scan") {
 		t.Fatalf("knob above table size must stay serial:\n%s", p)
 	}
 }

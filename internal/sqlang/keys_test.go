@@ -202,7 +202,7 @@ func TestMixedTypeComparisonIsPlanIndependent(t *testing.T) {
 		mustExec(t, e, `INSERT INTO b VALUES ('1'), ('x')`)
 		mustExec(t, e, `CREATE INDEX ON a (i)`)
 		for _, c := range cases {
-			if plan := mustExec(t, e, "EXPLAIN "+c.sql).Plan; !strings.Contains(plan, c.plan) {
+			if plan := mustExec(t, e, "EXPLAIN "+c.sql).Plan(); !strings.Contains(plan, c.plan) {
 				t.Fatalf("%q does not plan with %s:\n%s", c.sql, c.plan, plan)
 			}
 			if _, err := e.Exec(c.sql); err == nil || err.Error() != want {
@@ -235,7 +235,7 @@ func TestIndexEqualityKeysLikeCompare(t *testing.T) {
 		if len(scan.Rows) != c.rows {
 			t.Fatalf("scan %q: %d rows, want %d", c.sql, len(scan.Rows), c.rows)
 		}
-		if plan := mustExec(t, e, "EXPLAIN "+c.sql).Plan; !strings.Contains(plan, "scan n") {
+		if plan := mustExec(t, e, "EXPLAIN "+c.sql).Plan(); !strings.Contains(plan, "scan n") {
 			t.Fatalf("%q before indexing:\n%s", c.sql, plan)
 		}
 	}
@@ -250,7 +250,7 @@ func TestIndexEqualityKeysLikeCompare(t *testing.T) {
 		{`SELECT i FROM n WHERE i = 7.5`, "scan n", 0},
 		{`SELECT i FROM n WHERE i = NULL`, "scan n", 0},
 	} {
-		if plan := mustExec(t, e, "EXPLAIN "+c.sql).Plan; !strings.Contains(plan, c.plan) {
+		if plan := mustExec(t, e, "EXPLAIN "+c.sql).Plan(); !strings.Contains(plan, c.plan) {
 			t.Fatalf("%q does not plan with %s:\n%s", c.sql, c.plan, plan)
 		}
 		if r := mustExec(t, e, c.sql); len(r.Rows) != c.rows {

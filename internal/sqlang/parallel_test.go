@@ -47,16 +47,16 @@ func TestParallelScanPlanNote(t *testing.T) {
 	e.Workers = 4
 	setupFragments(t, e, 600)
 	r := mustExec(t, e, `EXPLAIN SELECT id FROM DNAFragments WHERE quality < 0.5`)
-	if !strings.Contains(r.Plan, "parallel scan: 4 workers") {
-		t.Fatalf("plan missing parallel note:\n%s", r.Plan)
+	if !strings.Contains(r.Plan(), "parallel scan: 4 workers") {
+		t.Fatalf("plan missing parallel note:\n%s", r.Plan())
 	}
 
 	small := testEngine(t)
 	small.Workers = 4
 	setupFragments(t, small, 20)
 	r = mustExec(t, small, `EXPLAIN SELECT id FROM DNAFragments WHERE quality < 0.5`)
-	if strings.Contains(r.Plan, "parallel scan") {
-		t.Fatalf("small table should not parallelize:\n%s", r.Plan)
+	if strings.Contains(r.Plan(), "parallel scan") {
+		t.Fatalf("small table should not parallelize:\n%s", r.Plan())
 	}
 }
 

@@ -24,9 +24,30 @@ type filterInfo struct {
 type joinInfo struct {
 	table  string
 	hash   bool
-	cond   string
+	keys   []Expr // the equi-predicates a hash join keys on
 	pushed []filterInfo
 	est    int
+}
+
+// pathDesc names an access path in plan text. It is formatted only when a
+// plan is rendered; a genomic path prints the pattern literal's value.
+type pathDesc struct {
+	kind  accessCandKind
+	table string
+	col   string
+	lit   *Lit // candGenomic: the pattern
+}
+
+// format renders the description, reading the pattern through pi so a
+// cached plan prints its execution's value.
+func (d pathDesc) format(pi *planInfo) string {
+	switch d.kind {
+	case candBTreeEq:
+		return fmt.Sprintf("index eq %s.%s", d.table, d.col)
+	case candGenomic:
+		return fmt.Sprintf("genomic index %s.%s pattern=%q", d.table, d.col, litValue(d.lit, pi.vals))
+	}
+	return "scan " + d.table
 }
 
 // planInfo accumulates the plan tree for a SELECT: the chosen access path
@@ -42,9 +63,14 @@ type planInfo struct {
 	// EXPLAIN ANALYZE of the same execution report identical timings.
 	timed bool
 
-	access      string // chosen access path description
-	estAccess   int    // estimated driving rows
-	actAccess   int64  // driving rows actually produced
+	// vals holds a cached plan's literal values for this execution (see
+	// plancache.go); the expressions and paths below print them in place
+	// of the template's. Nil when the plan was made for this execution.
+	vals []any
+
+	access      pathDesc // chosen access path
+	estAccess   int      // estimated driving rows
+	actAccess   int64    // driving rows actually produced
 	accessNanos int64
 
 	parallelWorkers int // > 1 when the scan was partitioned
@@ -87,30 +113,41 @@ func (pi *planInfo) annotate(est int, act int64, nanos int64) string {
 	return fmt.Sprintf(" (est=%d)", est)
 }
 
+// text prints an expression with this execution's literal values.
+func (pi *planInfo) text(x Expr) string {
+	return withLits(x, pi.vals).String()
+}
+
 // render produces the plan text. The line shapes predate ANALYZE and are
 // load-bearing (tests and the CI smoke script grep them); annotations are
 // only ever appended to a line, never restructure one.
 func (pi *planInfo) render() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "access: %s%s\n", pi.access, pi.annotate(pi.estAccess, pi.actAccess, pi.accessNanos))
+	fmt.Fprintf(&sb, "access: %s%s\n", pi.access.format(pi), pi.annotate(pi.estAccess, pi.actAccess, pi.accessNanos))
 	if pi.parallelWorkers > 1 {
 		fmt.Fprintf(&sb, "parallel scan: %d workers\n", pi.parallelWorkers)
 	}
 	if len(pi.filters) > 0 {
 		fmt.Fprintf(&sb, "filters:")
 		for _, f := range pi.filters {
-			fmt.Fprintf(&sb, " [%s sel=%.3g cost=%.3g]", f.expr, f.sel, f.cost)
+			fmt.Fprintf(&sb, " [%s sel=%.3g cost=%.3g]", pi.text(f.expr), f.sel, f.cost)
 		}
 		fmt.Fprintf(&sb, "%s\n", pi.annotate(pi.estFilter, pi.actFilter, pi.filterNanos))
 	}
 	for i, j := range pi.joins {
 		if j.hash {
-			fmt.Fprintf(&sb, "hash join: %s on %s", j.table, j.cond)
+			fmt.Fprintf(&sb, "hash join: %s on ", j.table)
+			for k, c := range j.keys {
+				if k > 0 {
+					sb.WriteString(" AND ")
+				}
+				sb.WriteString(pi.text(c))
+			}
 		} else {
 			fmt.Fprintf(&sb, "nested-loop join: %s", j.table)
 		}
 		for _, f := range j.pushed {
-			fmt.Fprintf(&sb, " [push %s sel=%.3g cost=%.3g]", f.expr, f.sel, f.cost)
+			fmt.Fprintf(&sb, " [push %s sel=%.3g cost=%.3g]", pi.text(f.expr), f.sel, f.cost)
 		}
 		fmt.Fprintf(&sb, " (est=%d)", j.est)
 		if pi.analyze && i == len(pi.joins)-1 {
@@ -120,7 +157,11 @@ func (pi *planInfo) render() string {
 	}
 	fmt.Fprintf(&sb, "plan cost: %.4g\n", pi.planCost)
 	for _, a := range pi.alts {
-		fmt.Fprintf(&sb, "rejected plan: %s (cost=%.4g)\n", a.desc, a.cost)
+		desc := a.order
+		if desc == "" {
+			desc = a.path.format(pi)
+		}
+		fmt.Fprintf(&sb, "rejected plan: %s (cost=%.4g)\n", desc, a.cost)
 	}
 	if pi.analyze {
 		if pi.aggregated {
@@ -142,7 +183,7 @@ func (pi *planInfo) addOperatorSpans(sp *trace.Span) {
 	if sp == nil {
 		return
 	}
-	sp.AddTiming("access: "+pi.access, time.Duration(pi.accessNanos))
+	sp.AddTiming("access: "+pi.access.format(pi), time.Duration(pi.accessNanos))
 	if len(pi.filters) > 0 {
 		sp.AddTiming("filter", time.Duration(pi.filterNanos))
 	}
@@ -165,10 +206,11 @@ func (pi *planInfo) addOperatorSpans(sp *trace.Span) {
 // full scans estimate the table's row count; index-equality paths consult
 // ANALYZE statistics (rows / distinct values) when the driving table was
 // analyzed, otherwise the lookup's own result size. Genomic-index paths use
-// the candidate count.
-func (e *Engine) accessEstimate(path accessPath, tbl *db.Table, tableName string) int {
+// the candidate count. fromLookup reports an estimate taken from the
+// lookup's result.
+func (e *Engine) accessEstimate(path accessPath, tbl *db.Table, tableName string) (est int, fromLookup bool) {
 	if path.rids == nil {
-		return tbl.RowCount()
+		return tbl.RowCount(), false
 	}
 	if b, ok := path.used.(*BinOp); ok && b.Op == "=" {
 		if col, okc := asColRef(b.L, b.R); okc {
@@ -178,10 +220,10 @@ func (e *Engine) accessEstimate(path accessPath, tbl *db.Table, tableName string
 					if est < 1 {
 						est = 1
 					}
-					return est
+					return est, false
 				}
 			}
 		}
 	}
-	return len(path.rids)
+	return len(path.rids), true
 }

@@ -161,7 +161,7 @@ func (h *Harness) render(cf CorpusFile) (string, error) {
 		}
 		switch {
 		case isSel && sel.Explain:
-			fmt.Fprintf(&sb, "--- plan cbo\n%s", res.Plan)
+			fmt.Fprintf(&sb, "--- plan cbo\n%s", res.Plan())
 		case isSel:
 			fmt.Fprintf(&sb, "--- result\n%s", NormalizeResult(res, len(sel.OrderBy) > 0, SnapshotPrec))
 			ex := *sel
@@ -170,7 +170,7 @@ func (h *Harness) render(cf CorpusFile) (string, error) {
 			if err != nil {
 				return "", fmt.Errorf("statement %d: EXPLAIN: %w", i+1, err)
 			}
-			fmt.Fprintf(&sb, "--- plan cbo\n%s", pres.Plan)
+			fmt.Fprintf(&sb, "--- plan cbo\n%s", pres.Plan())
 		default:
 			fmt.Fprintf(&sb, "--- result\n%s", NormalizeResult(res, false, SnapshotPrec))
 		}

@@ -1,6 +1,7 @@
 package regress
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -39,8 +40,12 @@ func indent(s string) string {
 
 // RunDifferential executes sql on every runner and compares each
 // result against the first (reference) runner's, at full float
-// precision over sorted row multisets. The comparison is
-// semantics-based, not plan-based:
+// precision over sorted row multisets. The reference plans every
+// statement afresh (Parse + ExecStmtSQLCtx); the other runners execute
+// the text through Exec, so a SELECT reuses their plan caches whenever
+// an earlier statement had the same shape, and cold and warm plans are
+// compared on every statement. The comparison is semantics-based, not
+// plan-based:
 //
 //   - Rows are compared as a sorted multiset unless the statement has
 //     an ORDER BY — SQL leaves unordered output order unspecified, so
@@ -64,7 +69,13 @@ func RunDifferential(runners []Runner, sql string) (*Divergence, Outcome) {
 	errs := make([]bool, len(runners))
 	var out Outcome
 	for i, r := range runners {
-		res, err := r.Eng.Exec(sql)
+		var res *sqlang.Result
+		var err error
+		if i == 0 {
+			res, err = execCold(r.Eng, sql)
+		} else {
+			res, err = r.Eng.Exec(sql)
+		}
 		if err != nil {
 			outs[i] = "error: " + err.Error()
 			errs[i] = true
@@ -94,4 +105,24 @@ func RunDifferential(runners []Runner, sql string) (*Divergence, Outcome) {
 		}
 	}
 	return nil, out
+}
+
+// execCold runs sql on the engine's uncached path.
+func execCold(e *sqlang.Engine, sql string) (*sqlang.Result, error) {
+	stmt, err := sqlang.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	return e.ExecStmtSQLCtx(context.Background(), stmt, sql)
+}
+
+// PlanCacheHits totals the plan-cache hits of every runner.
+func PlanCacheHits(runners []Runner) int64 {
+	var n int64
+	for _, r := range runners {
+		if r.Eng.Obs != nil {
+			n += r.Eng.Obs.Counter("sqlang.plan_cache.hits").Value()
+		}
+	}
+	return n
 }

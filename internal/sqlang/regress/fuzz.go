@@ -42,10 +42,13 @@ type FoundDivergence struct {
 
 // FuzzResult summarizes a fuzzing run.
 type FuzzResult struct {
-	Statements  int
-	ExecErrors  int
-	Divergences []FoundDivergence
-	Elapsed     time.Duration
+	Statements int
+	ExecErrors int
+	// PlanCacheHits counts statements the non-reference runners executed
+	// on a cached plan (see RunDifferential).
+	PlanCacheHits int64
+	Divergences   []FoundDivergence
+	Elapsed       time.Duration
 	// Weights is the final adaptive template-weight table.
 	Weights map[string]float64
 }
@@ -95,6 +98,7 @@ func Fuzz(d *db.DB, runners []Runner, opts FuzzOptions) (*FuzzResult, error) {
 		return nil, err
 	}
 	res := &FuzzResult{}
+	hits0 := PlanCacheHits(runners)
 	start := time.Now()
 	for i := 0; ; i++ {
 		if opts.N > 0 && i >= opts.N {
@@ -144,6 +148,7 @@ func Fuzz(d *db.DB, runners []Runner, opts FuzzOptions) (*FuzzResult, error) {
 		}
 	}
 	res.Elapsed = time.Since(start)
+	res.PlanCacheHits = PlanCacheHits(runners) - hits0
 	res.Weights = gen.Weights()
 	return res, nil
 }

@@ -109,6 +109,12 @@ func TestFuzzNoFalsePositives(t *testing.T) {
 	if res.Statements != 200 {
 		t.Errorf("expected 200 statements, ran %d", res.Statements)
 	}
+	// The non-reference runners execute through the plan cache; a run
+	// that never reused a plan never compared a warm one.
+	if res.PlanCacheHits == 0 {
+		t.Error("no statement ran on a cached plan: the warm path went unexercised")
+	}
+	t.Logf("seed 3: %d plan-cache hits over %d statements", res.PlanCacheHits, res.Statements)
 }
 
 // TestInjectedJoinKeyDivergence seeds a real executor bug (hash-join

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"genalg/internal/db"
 	"genalg/internal/storage"
@@ -27,6 +28,9 @@ type TableStats struct {
 type statsStore struct {
 	mu     sync.RWMutex
 	tables map[string]TableStats
+	// ver counts ANALYZE runs; a cached plan is current only while it is
+	// unchanged.
+	ver atomic.Uint64
 }
 
 func (s *statsStore) get(table string) (TableStats, bool) {
@@ -43,6 +47,7 @@ func (s *statsStore) put(table string, st TableStats) {
 		s.tables = map[string]TableStats{}
 	}
 	s.tables[table] = st
+	s.ver.Add(1)
 }
 
 // execAnalyze scans the table once, counting distinct values (exact, via a

@@ -71,8 +71,8 @@ func TestTraceWithoutAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(r.Plan, "act=") {
-		t.Errorf("plain SELECT plan must stay estimate-only:\n%s", r.Plan)
+	if strings.Contains(r.Plan(), "act=") {
+		t.Errorf("plain SELECT plan must stay estimate-only:\n%s", r.Plan())
 	}
 	spans := tr.Traces()[0].Spans()
 	var names []string

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -24,8 +23,7 @@ import (
 // fails with a *BrokenError wrapping the original cause. Callers redial.
 type Client struct {
 	mu      sync.Mutex
-	conn    net.Conn
-	br      *bufio.Reader
+	conn    *Conn
 	nextID  uint64
 	timeout time.Duration
 	broken  error
@@ -33,12 +31,12 @@ type Client struct {
 	Banner string
 }
 
-// Result is the decoded outcome of a statement.
+// Result is the decoded outcome of a statement. An EXPLAIN statement's
+// plan is its one row.
 type Result struct {
 	Cols     []string
 	Rows     [][]any
 	Affected int
-	Plan     string
 }
 
 // ErrDraining reports the server refusing new statements during shutdown.
@@ -88,7 +86,7 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	}
 	// The hello exchange is bounded by the dial timeout too — an accepted
 	// connection whose greeting never arrives should not hang the caller.
-	c := &Client{conn: conn, br: bufio.NewReader(conn), timeout: timeout}
+	c := &Client{conn: NewConn(conn), timeout: timeout}
 	resp, err := c.roundTrip(&Request{Op: OpHello})
 	if err != nil {
 		conn.Close()
@@ -173,7 +171,7 @@ func (c *Client) Close() error {
 }
 
 func result(resp *Response) *Result {
-	return &Result{Cols: resp.Cols, Rows: resp.Rows, Affected: resp.Affected, Plan: resp.Plan}
+	return &Result{Cols: resp.Cols, Rows: resp.Rows, Affected: resp.Affected}
 }
 
 func (c *Client) roundTrip(req *Request) (*Response, error) {
@@ -199,7 +197,7 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 		return nil, err
 	}
 	//genalgvet:ignore lockorder c.mu is the request serializer: the read half of the round trip runs under the same deadline-bounded critical section
-	payload, err := ReadFrame(c.br)
+	payload, err := ReadFrame(c.conn)
 	if err != nil {
 		// The response (if any) is now unrecoverable: a late frame would
 		// answer this request while the next call expects its own.
