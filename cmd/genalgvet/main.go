@@ -64,10 +64,7 @@ func vet(patterns []string, jsonOut, audit bool) int {
 		fmt.Fprintf(os.Stderr, "genalgvet: %v\n", err)
 		return 2
 	}
-	if err := load.ComputeFacts(pkgs, analysis.Computers(passes.All())); err != nil {
-		fmt.Fprintf(os.Stderr, "genalgvet: %v\n", err)
-		return 2
-	}
+	load.ComputeFacts(pkgs, analysis.Computers(passes.All()))
 	exit := 0
 	var all []finding
 	for _, pkg := range pkgs {

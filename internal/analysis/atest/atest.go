@@ -159,7 +159,7 @@ func computeFactsLocked(root, path string, computers []*analysis.FactComputer) (
 		imported.Merge(dfs)
 	}
 	pkg := &analysis.Package{Fset: shared.fset, Files: fp.files, Pkg: fp.pkg, TypesInfo: fp.info}
-	return analysis.ComputeFacts(pkg, imported, computers)
+	return analysis.ComputeFacts(pkg, imported, computers), nil
 }
 
 // Run loads the fixture package, computes the analyzers' facts (so

@@ -1,39 +1,30 @@
 package analysis
 
-import (
-	"encoding/json"
-	"fmt"
-)
-
-// FactSet is the cross-package side-channel: per-domain maps of opaque
-// JSON entries keyed by fully qualified function (or lock, or whatever
-// the domain chooses) names. The driver computes one FactSet per package,
-// bottom-up over the import graph, and hands each package its imports'
-// sets merged. Entries are transitive: a package's set contains its
-// imports' entries merged with its own, so readers never chase the
-// import graph.
+// FactSet is the cross-package side-channel: per-domain maps of entries
+// keyed by fully qualified function (or lock, or whatever the domain
+// chooses) names. Each entry is the Go value the domain's computer built
+// (pathflow stores *FuncSummary), shared by pointer with every set it is
+// merged into and never written after ComputeFacts returns it. genalgvet
+// computes one FactSet per package, bottom-up over the import graph, and
+// hands each package its imports' sets merged. Entries are transitive: a
+// package's set contains its imports' entries merged with its own, so
+// readers never chase the import graph.
 type FactSet struct {
-	domains map[string]map[string]json.RawMessage
-	decoded map[string]any // per-domain Decoded cache
+	domains map[string]map[string]any
 }
 
 // NewFactSet returns an empty set.
 func NewFactSet() *FactSet {
-	return &FactSet{domains: map[string]map[string]json.RawMessage{}}
+	return &FactSet{domains: map[string]map[string]any{}}
 }
 
 // Domain returns the entries recorded under name (nil-safe; may be nil).
-func (fs *FactSet) Domain(name string) map[string]json.RawMessage {
+// The map and its entries belong to the set: read them, never write.
+func (fs *FactSet) Domain(name string) map[string]any {
 	if fs == nil {
 		return nil
 	}
 	return fs.domains[name]
-}
-
-// SetDomain replaces the entries recorded under name.
-func (fs *FactSet) SetDomain(name string, entries map[string]json.RawMessage) {
-	fs.domains[name] = entries
-	delete(fs.decoded, name)
 }
 
 // Merge unions other's entries into fs (other wins on key collisions —
@@ -44,43 +35,30 @@ func (fs *FactSet) Merge(other *FactSet) {
 		return
 	}
 	for domain, entries := range other.domains {
-		delete(fs.decoded, domain)
-		dst := fs.domains[domain]
-		if dst == nil {
-			dst = map[string]json.RawMessage{}
-			fs.domains[domain] = dst
-		}
-		for k, v := range entries {
-			dst[k] = v
-		}
+		fs.merge(domain, entries)
 	}
 }
 
-// Decoded returns decode applied to the entries recorded under name,
-// computing it once per set (until the domain changes). Nil-safe: on a
-// nil set it decodes no entries.
-func (fs *FactSet) Decoded(name string, decode func(map[string]json.RawMessage) any) any {
-	if fs == nil {
-		return decode(nil)
+// merge copies entries into fs's own map for domain, creating it even
+// when entries is empty: a computed domain is present, if empty.
+func (fs *FactSet) merge(domain string, entries map[string]any) {
+	dst := fs.domains[domain]
+	if dst == nil {
+		dst = make(map[string]any, len(entries))
+		fs.domains[domain] = dst
 	}
-	if v, ok := fs.decoded[name]; ok {
-		return v
+	for k, v := range entries {
+		dst[k] = v
 	}
-	v := decode(fs.domains[name])
-	if fs.decoded == nil {
-		fs.decoded = map[string]any{}
-	}
-	fs.decoded[name] = v
-	return v
 }
 
 // FactComputer derives one domain's entries for a package. Compute
-// receives the merged facts of the package's imports and returns the
-// full transitive entry map to record (imports' entries plus local
-// ones); the driver stores it under Domain.
+// receives the merged facts of the package's imports and returns only
+// the entries for the package's own declarations; ComputeFacts merges
+// them over the imported ones. Compute must not write imported.
 type FactComputer struct {
 	Domain  string
-	Compute func(pkg *Package, imported *FactSet) (map[string]json.RawMessage, error)
+	Compute func(pkg *Package, imported *FactSet) map[string]any
 }
 
 // Computers collects the analyzers' fact computers, deduplicated by
@@ -104,15 +82,11 @@ func Computers(analyzers []*Analyzer) []*FactComputer {
 // and returns the package's own transitive set: imported entries plus
 // everything computed locally. Attach the result to Package.Facts before
 // Run, and merge it into dependents' imported sets.
-func ComputeFacts(pkg *Package, imported *FactSet, computers []*FactComputer) (*FactSet, error) {
+func ComputeFacts(pkg *Package, imported *FactSet, computers []*FactComputer) *FactSet {
 	out := NewFactSet()
 	out.Merge(imported)
 	for _, c := range computers {
-		entries, err := c.Compute(pkg, imported)
-		if err != nil {
-			return nil, fmt.Errorf("computing %s facts for %s: %w", c.Domain, pkg.Pkg.Path(), err)
-		}
-		out.SetDomain(c.Domain, entries)
+		out.merge(c.Domain, c.Compute(pkg, imported))
 	}
-	return out, nil
+	return out
 }

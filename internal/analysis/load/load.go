@@ -188,19 +188,19 @@ func basePath(importPath string) string {
 // import graph bottom-up so a package sees its dependencies' summaries.
 // Dependencies outside the target set — the standard library, mainly —
 // contribute no facts, which the analyzers treat conservatively.
-func ComputeFacts(pkgs []*Package, computers []*analysis.FactComputer) error {
+func ComputeFacts(pkgs []*Package, computers []*analysis.FactComputer) {
 	if len(computers) == 0 {
-		return nil
+		return
 	}
 	byPath := make(map[string]*Package, len(pkgs))
 	for _, p := range pkgs {
 		byPath[p.ImportPath] = p
 	}
 	done := map[string]bool{}
-	var visit func(p *Package) error
-	visit = func(p *Package) error {
+	var visit func(p *Package)
+	visit = func(p *Package) {
 		if done[p.ImportPath] {
-			return nil
+			return
 		}
 		done[p.ImportPath] = true
 		imported := analysis.NewFactSet()
@@ -211,33 +211,22 @@ func ComputeFacts(pkgs []*Package, computers []*analysis.FactComputer) error {
 				continue
 			}
 			seen[dep] = true
-			if err := visit(dp); err != nil {
-				return err
-			}
+			visit(dp)
 			if p.forTest != "" && p.forTest == dp.forTest {
 				imported.Merge(dp.Facts) // p_test sees p's test files
 			} else {
 				imported.Merge(dp.depFacts)
 			}
 		}
-		facts, err := analysis.ComputeFacts(p.Package, imported, computers)
-		if err != nil {
-			return err
-		}
-		p.Facts, p.depFacts = facts, facts
+		p.Facts = analysis.ComputeFacts(p.Package, imported, computers)
+		p.depFacts = p.Facts
 		if p.nonTest != nil {
 			nonTest := *p.Package
 			nonTest.Files = p.nonTest
-			if p.depFacts, err = analysis.ComputeFacts(&nonTest, imported, computers); err != nil {
-				return err
-			}
+			p.depFacts = analysis.ComputeFacts(&nonTest, imported, computers)
 		}
-		return nil
 	}
 	for _, p := range pkgs {
-		if err := visit(p); err != nil {
-			return err
-		}
+		visit(p)
 	}
-	return nil
 }

@@ -35,7 +35,6 @@
 package lockorder
 
 import (
-	"encoding/json"
 	"go/ast"
 	"go/types"
 	"reflect"
@@ -61,46 +60,37 @@ var Analyzer = &analysis.Analyzer{
 
 // fnLocks is the per-function fact entry (transitive over callees).
 type fnLocks struct {
-	Acquires []string    `json:"acquires,omitempty"`
-	Blocks   []string    `json:"blocks,omitempty"`
-	Edges    [][2]string `json:"edges,omitempty"`
+	Acquires []string
+	Blocks   []string
+	Edges    [][2]string
 }
 
 // Facts computes the lockorder domain.
 var Facts = &analysis.FactComputer{
 	Domain: domainName,
-	Compute: func(pkg *analysis.Package, imported *analysis.FactSet) (map[string]json.RawMessage, error) {
-		table := decodeTable(imported.Domain(domainName))
-		local := computeLocal(pkg.Files, pkg.TypesInfo, table)
-		out := map[string]json.RawMessage{}
-		for k, v := range imported.Domain(domainName) {
-			out[k] = v
-		}
-		for k, e := range local {
-			raw, err := json.Marshal(e)
-			if err != nil {
-				return nil, err
-			}
-			out[k] = raw
-		}
-		return out, nil
+	Compute: func(pkg *analysis.Package, imported *analysis.FactSet) map[string]any {
+		return computeLocal(pkg.Files, pkg.TypesInfo, imported.Domain(domainName))
 	},
 }
 
-func decodeTable(entries map[string]json.RawMessage) map[string]*fnLocks {
-	table := map[string]*fnLocks{}
-	for k, raw := range entries {
-		var e fnLocks
-		if json.Unmarshal(raw, &e) == nil {
-			table[k] = &e
-		}
+// table resolves function keys to *fnLocks entries: local first, then
+// imported, the imports' lockorder facts (read-only).
+type table struct {
+	local, imported map[string]any
+}
+
+func (t table) lookup(key string) *fnLocks {
+	v, ok := t.local[key]
+	if !ok {
+		v = t.imported[key]
 	}
-	return table
+	e, _ := v.(*fnLocks)
+	return e
 }
 
 // computeLocal summarizes every FuncDecl in pkg, iterating to a fixpoint
 // so same-package helper chains resolve in any declaration order.
-func computeLocal(files []*ast.File, info *types.Info, table map[string]*fnLocks) map[string]*fnLocks {
+func computeLocal(files []*ast.File, info *types.Info, imported map[string]any) map[string]any {
 	type decl struct {
 		fd  *ast.FuncDecl
 		key string
@@ -119,12 +109,13 @@ func computeLocal(files []*ast.File, info *types.Info, table map[string]*fnLocks
 			decls = append(decls, decl{fd, fn.FullName()})
 		}
 	}
+	tbl := table{local: map[string]any{}, imported: imported}
 	for iter := 0; iter < 10; iter++ {
 		changed := false
 		for _, d := range decls {
-			e := summarizeFn(info, d.fd, table)
-			if !reflect.DeepEqual(table[d.key], e) {
-				table[d.key] = e
+			e := summarizeFn(info, d.fd, tbl)
+			if !reflect.DeepEqual(tbl.local[d.key], e) {
+				tbl.local[d.key] = e
 				changed = true
 			}
 		}
@@ -132,16 +123,12 @@ func computeLocal(files []*ast.File, info *types.Info, table map[string]*fnLocks
 			break
 		}
 	}
-	local := map[string]*fnLocks{}
-	for _, d := range decls {
-		local[d.key] = table[d.key]
-	}
-	return local
+	return tbl.local
 }
 
 // summarizeFn collects fd's acquisitions, edges, and reachable blocking
 // waits, inheriting from callees through table.
-func summarizeFn(info *types.Info, fd *ast.FuncDecl, table map[string]*fnLocks) *fnLocks {
+func summarizeFn(info *types.Info, fd *ast.FuncDecl, tbl table) *fnLocks {
 	e := &fnLocks{}
 	acquires := map[string]bool{}
 	blocks := map[string]bool{}
@@ -149,7 +136,7 @@ func summarizeFn(info *types.Info, fd *ast.FuncDecl, table map[string]*fnLocks) 
 	sc := &scanner{
 		info:   info,
 		fnName: fd.Name.Name,
-		table:  table,
+		table:  tbl,
 		acquire: func(call *ast.CallExpr, id, expr, via string, held []heldLock) {
 			acquires[id] = true
 			for _, h := range held {
@@ -193,14 +180,14 @@ func sortedKeys(m map[string]bool) []string {
 }
 
 func run(pass *analysis.Pass) error {
-	table := decodeTable(pass.Facts.Domain(domainName))
-	if len(table) == 0 {
+	entries := pass.Facts.Domain(domainName)
+	if len(entries) == 0 {
 		// No facts channel (bare Run): degrade to package-local analysis.
-		table = computeLocal(pass.Files, pass.TypesInfo, table)
+		entries = computeLocal(pass.Files, pass.TypesInfo, nil)
 	}
 	graph := map[string]map[string]bool{}
-	for _, e := range table {
-		for _, ed := range e.Edges {
+	for _, v := range entries {
+		for _, ed := range v.(*fnLocks).Edges {
 			if graph[ed[0]] == nil {
 				graph[ed[0]] = map[string]bool{}
 			}
@@ -226,7 +213,7 @@ func run(pass *analysis.Pass) error {
 			sc := &scanner{
 				info:   pass.TypesInfo,
 				fnName: fd.Name.Name,
-				table:  table,
+				table:  table{local: entries},
 				acquire: func(call *ast.CallExpr, id, expr, via string, held []heldLock) {
 					reportAcquire(pass, graph, call, id, expr, via, held)
 				},
@@ -298,7 +285,7 @@ type heldLock struct{ id, expr string }
 type scanner struct {
 	info    *types.Info
 	fnName  string
-	table   map[string]*fnLocks
+	table   table
 	acquire func(call *ast.CallExpr, id, expr, via string, held []heldLock)
 	blocked func(call *ast.CallExpr, kind, callee string, held []heldLock)
 	// io receives direct-only blocking I/O; nil when summarizing.
@@ -428,8 +415,8 @@ func (sc *scanner) call(call *ast.CallExpr, held []heldLock) {
 	if fn == nil {
 		return
 	}
-	sub, ok := sc.table[fn.FullName()]
-	if !ok || sub == nil {
+	sub := sc.table.lookup(fn.FullName())
+	if sub == nil {
 		return
 	}
 	display := displayName(fn)

@@ -2,10 +2,11 @@
 // encode the engine's invariants (pin/unpin discipline, span lifecycle,
 // context threading, WAL durability, lock ordering and lock-held I/O,
 // goroutine shutdown, network deadlines, deterministic replay, metric
-// naming, boundary error classification); the stock-lite
-// checks reimplement the vet passes that stock go vet lacks (nilness) or
-// runs with a narrower function list (unusedresult), since this offline
-// build cannot import them from x/tools.
+// naming, boundary error classification); the one stock-lite check
+// reimplements nilness, a vet pass that stock go vet lacks, since this
+// offline build cannot import it from x/tools. Unused results of pure
+// functions are stock vet's own unusedresult pass, run by `make vet`
+// with this repository's extended function list.
 package passes
 
 import (
@@ -21,7 +22,6 @@ import (
 	"genalg/internal/analysis/passes/pinunpin"
 	"genalg/internal/analysis/passes/seededrand"
 	"genalg/internal/analysis/passes/spanend"
-	"genalg/internal/analysis/passes/unusedresult"
 )
 
 // All returns every analyzer in the suite, project checks first.
@@ -38,7 +38,6 @@ func All() []*analysis.Analyzer {
 		metricname.Analyzer,
 		errclass.Analyzer,
 		nilness.Analyzer,
-		unusedresult.Analyzer,
 	}
 }
 

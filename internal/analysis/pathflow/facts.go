@@ -1,10 +1,6 @@
 package pathflow
 
-import (
-	"encoding/json"
-
-	"genalg/internal/analysis"
-)
+import "genalg/internal/analysis"
 
 const domainName = "pathflow"
 
@@ -12,24 +8,18 @@ const domainName = "pathflow"
 // spanend, and durability analyzers consume them.
 var Facts = &analysis.FactComputer{
 	Domain: domainName,
-	Compute: func(pkg *analysis.Package, imported *analysis.FactSet) (map[string]json.RawMessage, error) {
-		return ComputeSummaries(pkg.Files, pkg.TypesInfo, FromFacts(imported)).EncodeEntries()
+	Compute: func(pkg *analysis.Package, imported *analysis.FactSet) map[string]any {
+		return ComputeSummaries(pkg.Files, pkg.TypesInfo, imported.Domain(domainName)).fns
 	},
 }
 
-// FromFacts returns the summaries carried in fs, decoded once per set.
-// With no pathflow facts it returns nil, and a nil *Summaries looks up
-// nothing: analyzers degrade to intraprocedural behaviour.
+// FromFacts returns a view of the summaries carried in fs. With no
+// pathflow facts it returns nil, and a nil *Summaries looks up nothing:
+// analyzers degrade to intraprocedural behaviour.
 func FromFacts(fs *analysis.FactSet) *Summaries {
-	sums, _ := fs.Decoded(domainName, func(entries map[string]json.RawMessage) any {
-		if entries == nil {
-			return (*Summaries)(nil)
-		}
-		s, err := DecodeEntries(entries)
-		if err != nil {
-			return (*Summaries)(nil)
-		}
-		return s
-	}).(*Summaries)
-	return sums
+	entries := fs.Domain(domainName)
+	if entries == nil {
+		return nil
+	}
+	return &Summaries{imported: entries}
 }

@@ -21,11 +21,9 @@
 package pathflow
 
 import (
-	"encoding/json"
 	"go/ast"
 	"go/types"
 	"slices"
-	"sort"
 
 	"genalg/internal/analysis"
 )
@@ -37,20 +35,20 @@ type FuncSummary struct {
 	// Pins lists {pool, id} parameter-index pairs for which the function
 	// calls pool.Unpin(id, ...) (directly or via a summarized callee) on
 	// every path.
-	Pins [][2]int `json:"pins,omitempty"`
+	Pins [][2]int
 	// Spans lists span/timer parameter indices ended on every path.
-	Spans []int `json:"spans,omitempty"`
+	Spans []int
 	// SpanEscapes lists span parameter indices the function may hand
 	// onward (stored, returned, sent, or passed to an unsummarized
 	// callee): the new owner carries the obligation, so the caller's is
 	// discharged, but the end is not proven here.
-	SpanEscapes []int `json:"span_escapes,omitempty"`
+	SpanEscapes []int
 	// Calls lists func-typed parameter indices invoked on every path
 	// (stop funcs, callbacks).
-	Calls []int `json:"calls,omitempty"`
+	Calls []int
 	// Waits lists int64 parameter indices passed to a WaitDurable call:
 	// the function is a durability wait point for that LSN.
-	Waits []int `json:"waits,omitempty"`
+	Waits []int
 }
 
 func (s *FuncSummary) hasPin(pool, id int) bool {
@@ -62,16 +60,16 @@ func (s *FuncSummary) hasPin(pool, id int) bool {
 	return false
 }
 
-// Summaries maps types.Func.FullName() keys to summaries. Every function
-// declaration the analysis has seen gets an entry, even an empty one —
-// presence distinguishes a known callee (proven to release nothing extra)
-// from an unknown one (anything could happen; assume nothing).
+// Summaries maps types.Func.FullName() keys to *FuncSummary entries.
+// Every function declaration the analysis has seen gets an entry, even an
+// empty one — presence distinguishes a known callee (proven to release
+// nothing extra) from an unknown one (anything could happen; assume
+// nothing).
 type Summaries struct {
-	fns map[string]*FuncSummary
+	// fns holds the entries summarized here; imported is a read-only view
+	// of the imports' pathflow facts. Lookups try fns first.
+	fns, imported map[string]any
 }
-
-// NewSummaries returns an empty summary set.
-func NewSummaries() *Summaries { return &Summaries{fns: map[string]*FuncSummary{}} }
 
 // FuncKey is the summary key for fn: its fully qualified name.
 func FuncKey(fn *types.Func) string { return fn.FullName() }
@@ -82,52 +80,21 @@ func (s *Summaries) Lookup(fn *types.Func) (*FuncSummary, bool) {
 	if s == nil || fn == nil {
 		return nil, false
 	}
-	sum, ok := s.fns[FuncKey(fn)]
+	return s.get(FuncKey(fn))
+}
+
+func (s *Summaries) get(key string) (*FuncSummary, bool) {
+	v, ok := s.fns[key]
+	if !ok {
+		v = s.imported[key]
+	}
+	sum, ok := v.(*FuncSummary)
 	return sum, ok
 }
 
 // LookupCall resolves call's static callee and returns its summary.
 func (s *Summaries) LookupCall(info *types.Info, call *ast.CallExpr) (*FuncSummary, bool) {
 	return s.Lookup(analysis.CalleeFunc(info, call))
-}
-
-// EncodeEntries serializes each summary for the facts side-channel.
-func (s *Summaries) EncodeEntries() (map[string]json.RawMessage, error) {
-	out := make(map[string]json.RawMessage, len(s.fns))
-	for key, sum := range s.fns {
-		data, err := json.Marshal(sum)
-		if err != nil {
-			return nil, err
-		}
-		out[key] = data
-	}
-	return out, nil
-}
-
-// DecodeEntries rebuilds a summary set from facts-channel entries.
-func DecodeEntries(entries map[string]json.RawMessage) (*Summaries, error) {
-	s := NewSummaries()
-	for key, data := range entries {
-		sum := &FuncSummary{}
-		if err := json.Unmarshal(data, sum); err != nil {
-			return nil, err
-		}
-		s.fns[key] = sum
-	}
-	return s, nil
-}
-
-// Keys returns the summarized function names, sorted (for tests).
-func (s *Summaries) Keys() []string {
-	if s == nil {
-		return nil
-	}
-	keys := make([]string, 0, len(s.fns))
-	for k := range s.fns {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // CheckAllPaths verifies the obligation from the top of fn: every path
@@ -152,15 +119,11 @@ func (o *Obligation) CheckAllPaths(fn ast.Node) (leak *Leak, ok bool) {
 
 // ComputeSummaries summarizes every function declared in files,
 // iterating to a fixpoint so same-package helper chains resolve.
-// imported carries dependency summaries (nil for none); the returned set
-// contains imported and local entries, ready for transitive export.
-func ComputeSummaries(files []*ast.File, info *types.Info, imported *Summaries) *Summaries {
-	out := NewSummaries()
-	if imported != nil {
-		for k, v := range imported.fns {
-			out.fns[k] = v
-		}
-	}
+// imported carries the dependencies' pathflow fact entries (nil for
+// none) and is only read; the returned set's own entries are the local
+// ones, which callees in imported resolve against.
+func ComputeSummaries(files []*ast.File, info *types.Info, imported map[string]any) *Summaries {
+	out := &Summaries{fns: map[string]any{}, imported: imported}
 
 	type decl struct {
 		fd     *ast.FuncDecl

@@ -74,59 +74,33 @@ func runIt(f func()) { f() }
 		"storage.recur":   nil,
 	}
 	for key, pins := range want {
-		sum, ok := sums.fns[key]
+		sum, ok := sums.get(key)
 		if !ok {
-			t.Fatalf("no summary for %s (have %v)", key, sums.Keys())
+			t.Fatalf("no summary for %s", key)
 		}
 		if !reflect.DeepEqual(sum.Pins, pins) {
 			t.Errorf("%s: Pins = %v, want %v", key, sum.Pins, pins)
 		}
 	}
-	if sum := sums.fns["storage.syncTo"]; !reflect.DeepEqual(sum.Waits, []int{1}) {
+	if sum, _ := sums.get("storage.syncTo"); !reflect.DeepEqual(sum.Waits, []int{1}) {
 		t.Errorf("syncTo: Waits = %v, want [1]", sum.Waits)
 	}
-	if sum := sums.fns["storage.runIt"]; !reflect.DeepEqual(sum.Calls, []int{0}) {
+	if sum, _ := sums.get("storage.runIt"); !reflect.DeepEqual(sum.Calls, []int{0}) {
 		t.Errorf("runIt: Calls = %v, want [0]", sum.Calls)
 	}
 }
 
-// Summaries survive the facts-channel JSON round trip.
-func TestSummariesRoundTrip(t *testing.T) {
-	s := NewSummaries()
-	s.fns["p.f"] = &FuncSummary{Pins: [][2]int{{0, 1}}, Waits: []int{2}}
-	s.fns["p.g"] = &FuncSummary{Spans: []int{0}, SpanEscapes: []int{1}, Calls: []int{2}}
-	s.fns["p.empty"] = &FuncSummary{}
-
-	entries, err := s.EncodeEntries()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeEntries(entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back.Keys(), s.Keys()) {
-		t.Fatalf("keys: %v != %v", back.Keys(), s.Keys())
-	}
-	for k, want := range s.fns {
-		if got := back.fns[k]; !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: %+v != %+v", k, got, want)
-		}
-	}
-	// Presence of an empty summary distinguishes known from unknown.
-	if _, ok := back.fns["p.empty"]; !ok {
-		t.Error("empty summary lost in round trip")
-	}
-}
-
-// Imported summaries carry through ComputeSummaries into the output set.
+// Imported summaries resolve through ComputeSummaries' output set, and
+// only local entries are its own.
 func TestComputeSummariesImports(t *testing.T) {
-	imported := NewSummaries()
-	imported.fns["dep.Release"] = &FuncSummary{Pins: [][2]int{{0, 1}}}
+	imported := map[string]any{"dep.Release": &FuncSummary{Pins: [][2]int{{0, 1}}}}
 
 	files, info := check(t, "empty", "package empty\n")
 	out := ComputeSummaries(files, info, imported)
-	if _, ok := out.fns["dep.Release"]; !ok {
-		t.Error("imported summary not carried into output set")
+	if _, ok := out.get("dep.Release"); !ok {
+		t.Error("imported summary not visible through output set")
+	}
+	if len(out.fns) != 0 {
+		t.Errorf("imported entries copied into local set: %v", out.fns)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"genalg/internal/genops"
 	"genalg/internal/ontology"
 	"genalg/internal/seq"
+	"genalg/internal/sources"
 	"genalg/internal/wal"
 )
 
@@ -124,6 +125,40 @@ func TestReopenIsLatestAcknowledgedState(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDurableInitialLoadCommitsPerTable: a durable InitialLoad writes
+// the observations and each public table in one statement apiece, so it
+// commits at most five WAL transactions however many entities it loads
+// (one statement per entity made it about two per entity).
+func TestDurableInitialLoadCommitsPerTable(t *testing.T) {
+	commits := 0
+	w, err := openDurable(t.TempDir(), db.DurableOptions{PoolPages: 256, Hooks: wal.Hooks{
+		AfterAppend: func(int64) error { commits++; return nil },
+	}}, etl.NewWrapper(ontology.Standard()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	// Two clean sources that disagree on every record's content: each
+	// entity merges two observations and keeps alternative rows.
+	repos := []*sources.Repo{
+		sources.NewRepo("genbank1", sources.FormatGenBank, sources.CapNonQueryable, sources.Generate(100, sources.GenOptions{N: 60})),
+		sources.NewRepo("csv1", sources.FormatCSV, sources.CapQueryable, sources.Generate(200, sources.GenOptions{N: 60})),
+	}
+	before := commits
+	if _, err := w.InitialLoad(context.Background(), repos); err != nil {
+		t.Fatal(err)
+	}
+	if n := w.CountPublic(); n < 50 {
+		t.Fatalf("loaded %d entities, want at least 50", n)
+	}
+	if q := mustQuery(t, w, "alice", `SELECT id FROM quarantine`); len(q.Rows) != 0 {
+		t.Fatalf("clean sources quarantined %d records", len(q.Rows))
+	}
+	if got := commits - before; got > 5 {
+		t.Errorf("InitialLoad committed %d WAL transactions, want at most 5 (observations plus the four public tables)", got)
 	}
 }
 

@@ -220,7 +220,7 @@ func (w *Warehouse) reconcileEntity(id string) error {
 		return nil
 	}
 	merged, _ := etl.Integrate(obs)
-	return w.loadIntegrated(merged[0])
+	return w.loadIntegrated(merged)
 }
 
 // FullReload is the paper's baseline maintenance strategy ("one can always

@@ -3,12 +3,14 @@ package warehouse
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"genalg/internal/db"
 	"genalg/internal/etl"
 	"genalg/internal/gdt"
+	"genalg/internal/obs"
 	"genalg/internal/ontology"
 	"genalg/internal/sources"
 	"genalg/internal/sqlang"
@@ -369,6 +371,60 @@ func TestGenomicQueriesOverWarehouse(t *testing.T) {
 	for _, row := range r.Rows {
 		if row[1].(int64) <= 0 {
 			t.Errorf("empty protein for %v", row[0])
+		}
+	}
+}
+
+// TestQuerySelectsUsePlanCache: warehouse SELECTs that differ only in
+// their literals reuse one cached plan and answer exactly as the
+// uncached path does, and the space rules still refuse a private table
+// whose template is already cached.
+func TestQuerySelectsUsePlanCache(t *testing.T) {
+	w := newWarehouse(t)
+	w.Engine.Obs = obs.New()
+	if _, err := w.InitialLoad(context.Background(), twoRepos(t, 15)); err != nil {
+		t.Fatal(err)
+	}
+	hits := w.Engine.Obs.Counter("sqlang.plan_cache.hits")
+	ids := mustQuery(t, w, "alice", `SELECT id FROM fragments LIMIT 10`).Rows
+	if len(ids) != 10 {
+		t.Fatalf("want 10 fragments, got %d", len(ids))
+	}
+	for _, row := range ids {
+		sql := fmt.Sprintf(`SELECT id, organism, quality FROM fragments WHERE id = '%s'`, row[0])
+		stmt, err := sqlang.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := w.Engine.ExecStmtSQLCtx(context.Background(), stmt, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mustQuery(t, w, "alice", sql); !reflect.DeepEqual(got.Rows, cold.Rows) || len(got.Rows) != 1 {
+			t.Errorf("%s: got %v, cold %v", sql, got.Rows, cold.Rows)
+		}
+	}
+	if hits.Value() == 0 {
+		t.Fatal("ten SELECTs of one shape never hit the plan cache")
+	}
+
+	if err := w.CreateUserTable("alice", db.Schema{
+		Table:   "alice_notes",
+		Columns: []db.Column{{Name: "note", Type: db.TString}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	mustQuery(t, w, "alice", `INSERT INTO alice_notes VALUES ('a'), ('b')`)
+	before := hits.Value()
+	for _, note := range []string{"a", "b"} {
+		mustQuery(t, w, "alice", fmt.Sprintf(`SELECT note FROM alice_notes WHERE note = '%s'`, note))
+	}
+	if hits.Value() == before {
+		t.Fatal("the alice_notes template was not cached")
+	}
+	for _, note := range []string{"a", "c"} {
+		if _, err := w.Query(context.Background(), "bob", fmt.Sprintf(`SELECT note FROM alice_notes WHERE note = '%s'`, note)); err == nil {
+			t.Errorf("bob read alice's private table through a cached template (note = %q)", note)
 		}
 	}
 }
