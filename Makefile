@@ -131,7 +131,8 @@ smoke-loadgen:
 
 # fuzz-short runs the sources parser fuzzer, the row decoder's column-map
 # fuzzer, the join-key equality property, the plan cache's warm-equals-
-# cold property, the wire frame and request decoders and the
+# cold property, the wire frame and request decoders, the WAL frame
+# decoder, the k-mer index against a brute-force scan and the
 # incremental-equals-reload oracle briefly (CI budget).
 fuzz-short:
 	$(GO) test ./internal/sources -run='^$$' -fuzz=FuzzParseFormats -fuzztime=10s
@@ -140,6 +141,8 @@ fuzz-short:
 	$(GO) test ./internal/sqlang -run='^$$' -fuzz='^FuzzPlanCache$$' -fuzztime=10s
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=10s
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzDecodeRequest$$' -fuzztime=10s
+	$(GO) test ./internal/wal -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s
+	$(GO) test ./internal/kmeridx -run='^$$' -fuzz='^FuzzIndexAgainstScan$$' -fuzztime=10s
 	$(GO) test ./internal/warehouse -run='^$$' -fuzz='^FuzzIncrementalEqualsReload$$' -fuzztime=10s
 
 # fuzz-sql-short runs the SQL parser fuzzer briefly (CI budget). Seeds

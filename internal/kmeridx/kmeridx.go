@@ -3,11 +3,23 @@
 // supporting substring (contains) search and similarity seeding. The
 // Unifying Database plugs it in as a user-defined index on DNA columns, the
 // same way B-trees serve scalar columns.
+//
+// The representation follows the paper's Section 4.3 stance (compact and
+// pointer-free). Each indexed document gets the next dense uint32 ordinal,
+// and a posting is an 8-byte (ordinal, position) pair. Ordinals only grow,
+// so appending a document's postings keeps every posting list sorted by
+// (ordinal, position); candidate search intersects lists with a linear
+// merge, and Remove cuts a document's run out of each of its own lists by
+// binary search. Removed documents leave dead ordinals behind; when they
+// outnumber the live ones, the live ordinals are renumbered in ascending
+// order, which keeps every list sorted.
 package kmeridx
 
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -19,19 +31,29 @@ import (
 // DocID identifies an indexed sequence (the database uses record IDs).
 type DocID uint64
 
-// posting records one k-mer occurrence.
+// posting records one k-mer occurrence: the document's ordinal and the
+// k-mer's start in it.
 type posting struct {
-	doc DocID
+	ord uint32
 	pos int32
 }
+
+// deadOrd marks a dropped ordinal while the index is renumbered; it is
+// never handed out.
+const deadOrd = math.MaxUint32
 
 // Index is a k-mer inverted index. It is safe for concurrent use.
 type Index struct {
 	k  int
 	mu sync.RWMutex
-	// postings per k-mer, append-ordered (doc insertion order).
+	// postings per k-mer, each list sorted by (ord, pos).
 	postings map[seq.Kmer][]posting
-	docLens  map[DocID]int
+	// docs maps an ordinal to its document; ords maps a live document to
+	// its ordinal. An ordinal o is live exactly when ords[docs[o]] == o.
+	docs []DocID
+	ords map[DocID]uint32
+	// maxOrds bounds len(docs): ordinals are below deadOrd.
+	maxOrds int
 }
 
 // ErrPatternTooShort is returned when a query pattern is shorter than the
@@ -53,7 +75,8 @@ func New(k int) (*Index, error) {
 	return &Index{
 		k:        k,
 		postings: make(map[seq.Kmer][]posting),
-		docLens:  make(map[DocID]int),
+		ords:     make(map[DocID]uint32),
+		maxOrds:  min(deadOrd, math.MaxInt),
 	}, nil
 }
 
@@ -61,43 +84,39 @@ func New(k int) (*Index, error) {
 func (ix *Index) K() int { return ix.k }
 
 // Add indexes a document. Re-adding an existing DocID is an error; Remove
-// first. K-mer extraction runs outside the write lock so concurrent readers
-// (and other writers' extractions) are not blocked by the O(len) scan.
+// first. The document's postings are appended straight onto their lists.
 func (ix *Index) Add(doc DocID, s seq.NucSeq) error {
-	sh := extract(s, ix.k, doc)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if _, exists := ix.docLens[doc]; exists {
+	if _, exists := ix.ords[doc]; exists {
 		return fmt.Errorf("kmeridx: document %d already indexed", doc)
 	}
-	ix.mergeLocked(sh, s.Len(), doc)
+	if err := ix.roomLocked(1); err != nil {
+		return err
+	}
+	ord := ix.assignLocked(doc)
+	seq.EachKmer(s, ix.k, func(pos int, km seq.Kmer) bool {
+		ix.postings[km] = append(ix.postings[km], posting{ord: ord, pos: int32(pos)})
+		return true
+	})
 	return nil
 }
 
-// shard is the postings extracted from one or more documents, buffered
-// outside the index lock.
-type shard struct {
-	postings map[seq.Kmer][]posting
-}
-
-// extract builds the posting map of a single document lock-free.
-func extract(s seq.NucSeq, k int, doc DocID) shard {
-	sh := shard{postings: make(map[seq.Kmer][]posting)}
-	seq.EachKmer(s, k, func(pos int, km seq.Kmer) bool {
-		sh.postings[km] = append(sh.postings[km], posting{doc: doc, pos: int32(pos)})
-		return true
-	})
-	return sh
-}
-
-// mergeLocked appends a shard's postings under the held write lock. Within
-// each k-mer the shard's postings are already in document order, so
-// appending whole slices preserves the serial append order.
-func (ix *Index) mergeLocked(sh shard, docLen int, doc DocID) {
-	ix.docLens[doc] = docLen
-	for km, ps := range sh.postings {
-		ix.postings[km] = append(ix.postings[km], ps...)
+// roomLocked reports an error unless n more ordinals fit below deadOrd.
+// Ordinals are never reused, so a long enough life of Adds exhausts them.
+func (ix *Index) roomLocked(n int) error {
+	if n > ix.maxOrds-len(ix.docs) {
+		return fmt.Errorf("kmeridx: ordinal space exhausted at %d documents", len(ix.docs))
 	}
+	return nil
+}
+
+// assignLocked gives doc the next ordinal.
+func (ix *Index) assignLocked(doc DocID) uint32 {
+	ord := uint32(len(ix.docs))
+	ix.docs = append(ix.docs, doc)
+	ix.ords[doc] = ord
+	return ord
 }
 
 // Doc pairs a document with its sequence for batch indexing.
@@ -108,8 +127,9 @@ type Doc struct {
 
 // AddAll indexes a batch of documents with a sharded parallel build:
 // contiguous chunks of the batch are extracted into per-worker posting maps
-// (no locking), then merged under one write lock in chunk order, so the
-// resulting posting lists are byte-identical to serial Adds in batch order.
+// with batch-relative ordinals (no locking), then merged under one write
+// lock in chunk order with the batch's base ordinal added, so the index
+// ends up identical to serial Adds in batch order.
 // The batch is applied atomically: on any duplicate DocID (within the batch
 // or against the index) nothing is inserted and the offending document is
 // named. workers <= 0 selects the default bound (see package parallel).
@@ -132,13 +152,12 @@ func (ix *Index) AddAll(ctx context.Context, docs []Doc, workers int) (err error
 	}
 	workers = parallel.Clamp(workers, len(docs))
 	sp.SetAttr("workers", workers)
-	shards := make([]shard, workers)
+	shards := make([]map[seq.Kmer][]posting, workers)
 	err = parallel.ChunkEach(ctx, len(docs), workers, func(part int, sp parallel.Span) error {
-		sh := shard{postings: make(map[seq.Kmer][]posting)}
+		sh := make(map[seq.Kmer][]posting)
 		for i := sp.Lo; i < sp.Hi; i++ {
-			d := docs[i]
-			seq.EachKmer(d.Seq, ix.k, func(pos int, km seq.Kmer) bool {
-				sh.postings[km] = append(sh.postings[km], posting{doc: d.ID, pos: int32(pos)})
+			seq.EachKmer(docs[i].Seq, ix.k, func(pos int, km seq.Kmer) bool {
+				sh[km] = append(sh[km], posting{ord: uint32(i), pos: int32(pos)})
 				return true
 			})
 		}
@@ -151,17 +170,24 @@ func (ix *Index) AddAll(ctx context.Context, docs []Doc, workers int) (err error
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	for _, d := range docs {
-		if _, exists := ix.docLens[d.ID]; exists {
+		if _, exists := ix.ords[d.ID]; exists {
 			return fmt.Errorf("kmeridx: document %d already indexed", d.ID)
 		}
 	}
-	for _, d := range docs {
-		ix.docLens[d.ID] = d.Seq.Len()
+	if err := ix.roomLocked(len(docs)); err != nil {
+		return err
 	}
-	// Shards cover contiguous chunks; merging them in chunk order keeps
-	// every posting list in batch order, matching serial Adds.
+	base := uint32(len(ix.docs))
+	for _, d := range docs {
+		ix.assignLocked(d.ID)
+	}
+	// Shards cover contiguous chunks and every new ordinal is above the
+	// existing ones; merging in chunk order keeps every list sorted.
 	for _, sh := range shards {
-		for km, ps := range sh.postings {
+		for km, ps := range sh {
+			for i := range ps {
+				ps[i].ord += base
+			}
 			ix.postings[km] = append(ix.postings[km], ps...)
 		}
 	}
@@ -169,27 +195,71 @@ func (ix *Index) AddAll(ctx context.Context, docs []Doc, workers int) (err error
 }
 
 // Remove drops a document from the index. s must be the sequence the
-// document was added with: only the posting lists of its distinct k-mers
-// are visited, so the cost is proportional to the document, not to the
-// index. Removing a document that is not indexed is a no-op.
+// document was added with: only the posting lists of its k-mers are
+// visited, and in each the document's run is found by binary search, so
+// the cost is proportional to the document, not to the index. Removing a
+// document that is not indexed is a no-op.
 func (ix *Index) Remove(doc DocID, s seq.NucSeq) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if _, exists := ix.docLens[doc]; !exists {
+	ord, exists := ix.ords[doc]
+	if !exists {
 		return
 	}
-	delete(ix.docLens, doc)
-	seen := make(map[seq.Kmer]bool, s.Len())
+	delete(ix.ords, doc)
 	seq.EachKmer(s, ix.k, func(_ int, km seq.Kmer) bool {
-		if seen[km] {
-			return true // a repeated k-mer: its list is already clean
-		}
-		seen[km] = true
 		ps := ix.postings[km]
+		lo, hi := ordRun(ps, ord)
+		switch {
+		case lo == hi:
+			// A repeated k-mer: its list is already clean.
+		case hi-lo == len(ps):
+			delete(ix.postings, km)
+		default:
+			ix.postings[km] = append(ps[:lo], ps[hi:]...)
+		}
+		return true
+	})
+	if len(ix.docs)-len(ix.ords) > len(ix.ords) {
+		ix.renumberLocked()
+	}
+}
+
+// ordRun returns the bounds of ord's postings in ps, which is sorted by
+// (ord, pos).
+func ordRun(ps []posting, ord uint32) (lo, hi int) {
+	lo = sort.Search(len(ps), func(i int) bool { return ps[i].ord >= ord })
+	hi = lo
+	for hi < len(ps) && ps[hi].ord == ord {
+		hi++
+	}
+	return lo, hi
+}
+
+// renumberLocked gives the live documents the ordinals 0..n-1 in their
+// current order and drops every posting of a dead ordinal. The mapping
+// preserves order, so every list stays sorted. It runs once dead ordinals
+// outnumber live ones, so its cost is spread over at least as many
+// Removes as there are live documents.
+func (ix *Index) renumberLocked() {
+	remap := make([]uint32, len(ix.docs))
+	live := ix.docs[:0]
+	for o, doc := range ix.docs {
+		// Entries below o may be rewritten already; docs[o] is not yet.
+		if !ix.liveLocked(uint32(o)) {
+			remap[o] = deadOrd
+			continue
+		}
+		remap[o] = uint32(len(live))
+		ix.ords[doc] = uint32(len(live))
+		live = append(live, doc)
+	}
+	ix.docs = live
+	for km, ps := range ix.postings {
 		kept := ps[:0]
 		for _, p := range ps {
-			if p.doc != doc {
-				kept = append(kept, p)
+			if n := remap[p.ord]; n != deadOrd {
+				kept = append(kept, posting{ord: n, pos: p.pos})
 			}
 		}
 		if len(kept) == 0 {
@@ -197,15 +267,20 @@ func (ix *Index) Remove(doc DocID, s seq.NucSeq) {
 		} else {
 			ix.postings[km] = kept
 		}
-		return true
-	})
+	}
+}
+
+// liveLocked reports whether ordinal o belongs to an indexed document.
+func (ix *Index) liveLocked(o uint32) bool {
+	cur, ok := ix.ords[ix.docs[o]]
+	return ok && cur == o
 }
 
 // Docs returns the number of indexed documents.
 func (ix *Index) Docs() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.docLens)
+	return len(ix.ords)
 }
 
 // Candidates returns the documents that may contain the pattern, by
@@ -224,55 +299,56 @@ func (ix *Index) Candidates(pattern string) ([]DocID, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 
-	// Seed with the first k-mer's postings: candidate (doc, start) pairs.
+	// Candidate (ord, start) pairs, seeded by the first k-mer's list and
+	// still sorted by (ord, start). cands aliases that list until the
+	// first merge writes into a slice of its own.
 	first, _ := seq.KmerAt(pat, 0, ix.k)
-	type cand struct {
-		doc   DocID
-		start int32
-	}
-	var cands []cand
-	for _, p := range ix.postings[first] {
-		cands = append(cands, cand{doc: p.doc, start: p.pos})
-	}
-	if len(cands) == 0 {
-		return nil, nil
-	}
-	// Confirm each subsequent non-overlapping k-mer window (stride k), plus
+	cands := ix.postings[first]
+	owned := false
+	// Confirm each subsequent non-overlapping k-mer window (stride k), then
 	// the final window anchored at the pattern end.
-	checkOffsets := make([]int, 0, pat.Len()/ix.k+1)
-	for off := ix.k; off+ix.k <= pat.Len(); off += ix.k {
-		checkOffsets = append(checkOffsets, off)
-	}
-	if last := pat.Len() - ix.k; last > 0 && (len(checkOffsets) == 0 || checkOffsets[len(checkOffsets)-1] != last) {
-		checkOffsets = append(checkOffsets, last)
-	}
-	for _, off := range checkOffsets {
+	last := pat.Len() - ix.k
+	for off := ix.k; off < last+ix.k && len(cands) > 0; off += ix.k {
+		if off > last {
+			off = last
+		}
 		km, _ := seq.KmerAt(pat, off, ix.k)
-		want := make(map[cand]bool, len(cands))
-		for _, c := range cands {
-			want[cand{doc: c.doc, start: c.start + int32(off)}] = true
+		list := ix.postings[km]
+		kept := cands[:0]
+		if !owned {
+			kept = make([]posting, 0, min(len(cands), len(list)))
+			owned = true
 		}
-		var kept []cand
-		for _, p := range ix.postings[km] {
-			if want[cand{doc: p.doc, start: p.pos}] {
-				kept = append(kept, cand{doc: p.doc, start: p.pos - int32(off)})
-			}
-		}
-		cands = kept
-		if len(cands) == 0 {
-			return nil, nil
-		}
+		cands = intersect(kept, cands, list, int32(off))
 	}
-	seen := make(map[DocID]bool)
 	var out []DocID
-	for _, c := range cands {
-		if !seen[c.doc] {
-			seen[c.doc] = true
-			out = append(out, c.doc)
+	for i, c := range cands {
+		if (i == 0 || cands[i-1].ord != c.ord) && ix.liveLocked(c.ord) {
+			out = append(out, ix.docs[c.ord])
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, nil
+}
+
+// intersect appends to dst the candidates c for which list holds
+// (c.ord, c.pos+off), by one linear merge of the two sorted inputs. dst
+// may share cands' backing array: it never gets ahead of the read cursor.
+func intersect(dst, cands, list []posting, off int32) []posting {
+	j := 0
+	for _, c := range cands {
+		want := c.pos + off
+		for j < len(list) && (list[j].ord < c.ord || list[j].ord == c.ord && list[j].pos < want) {
+			j++
+		}
+		if j == len(list) {
+			break
+		}
+		if list[j].ord == c.ord && list[j].pos == want {
+			dst = append(dst, c)
+		}
+	}
+	return dst
 }
 
 // Lookup returns the documents that contain the pattern, verifying each
@@ -321,25 +397,25 @@ func (ix *Index) SeedHits(query seq.NucSeq, minSeeds int) []DocID {
 	if minSeeds < 1 {
 		minSeeds = 1
 	}
-	counts := make(map[DocID]int)
-	ix.mu.RLock()
-	seq.EachKmer(query, ix.k, func(pos int, km seq.Kmer) bool {
-		for _, p := range ix.postings[km] {
-			counts[p.doc]++
-		}
-		return true
-	})
-	ix.mu.RUnlock()
 	type dc struct {
 		doc DocID
 		n   int
 	}
 	var hits []dc
-	for doc, n := range counts {
-		if n >= minSeeds {
-			hits = append(hits, dc{doc, n})
+	counts := make(map[uint32]int)
+	ix.mu.RLock()
+	seq.EachKmer(query, ix.k, func(pos int, km seq.Kmer) bool {
+		for _, p := range ix.postings[km] {
+			counts[p.ord]++
+		}
+		return true
+	})
+	for o, n := range counts {
+		if n >= minSeeds && ix.liveLocked(o) {
+			hits = append(hits, dc{ix.docs[o], n})
 		}
 	}
+	ix.mu.RUnlock()
 	sort.Slice(hits, func(i, j int) bool {
 		if hits[i].n != hits[j].n {
 			return hits[i].n > hits[j].n
@@ -364,7 +440,7 @@ type Stats struct {
 func (ix *Index) Stats() Stats {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	st := Stats{Docs: len(ix.docLens), DistinctKmer: len(ix.postings)}
+	st := Stats{Docs: len(ix.ords), DistinctKmer: len(ix.postings)}
 	for _, ps := range ix.postings {
 		st.Postings += len(ps)
 	}

@@ -216,16 +216,18 @@ func TestRemove(t *testing.T) {
 
 // removeFullWalk is the pre-sequence Remove: it drops doc from every
 // posting list in the index. It is the reference the per-document Remove
-// is checked against.
+// is checked against. It never renumbers, so its ordinals are the ones
+// the documents were added with.
 func removeFullWalk(ix *Index, doc DocID) {
-	if _, exists := ix.docLens[doc]; !exists {
+	ord, exists := ix.ords[doc]
+	if !exists {
 		return
 	}
-	delete(ix.docLens, doc)
+	delete(ix.ords, doc)
 	for km, ps := range ix.postings {
 		kept := ps[:0]
 		for _, p := range ps {
-			if p.doc != doc {
+			if p.ord != ord {
 				kept = append(kept, p)
 			}
 		}
@@ -292,7 +294,7 @@ func TestRemoveMatchesFullWalkAndRebuild(t *testing.T) {
 		ix.Remove(doc, docs[doc])
 		ix.Remove(next+1000, docs[doc])
 	}
-	if !reflect.DeepEqual(ix.postings, ref.postings) || !reflect.DeepEqual(ix.docLens, ref.docLens) {
+	if !reflect.DeepEqual(byDoc(ix), byDoc(ref)) || !reflect.DeepEqual(liveDocs(ix), liveDocs(ref)) {
 		t.Fatal("per-document Remove left different postings than the full walk")
 	}
 
@@ -330,6 +332,33 @@ func TestRemoveMatchesFullWalkAndRebuild(t *testing.T) {
 	}
 }
 
+// docPos is a posting with its ordinal resolved to the document.
+type docPos struct {
+	doc DocID
+	pos int32
+}
+
+// byDoc returns the index's posting lists with ordinals resolved, so two
+// indexes that numbered the same documents differently compare equal.
+func byDoc(ix *Index) map[seq.Kmer][]docPos {
+	out := make(map[seq.Kmer][]docPos, len(ix.postings))
+	for km, ps := range ix.postings {
+		for _, p := range ps {
+			out[km] = append(out[km], docPos{ix.docs[p.ord], p.pos})
+		}
+	}
+	return out
+}
+
+// liveDocs returns the set of indexed documents.
+func liveDocs(ix *Index) map[DocID]bool {
+	out := make(map[DocID]bool, len(ix.ords))
+	for d := range ix.ords {
+		out[d] = true
+	}
+	return out
+}
+
 // TestRemoveVisitsOnlyTheDocumentsKmers plants a posting for a document
 // under a k-mer its sequence lacks: Remove must leave that list alone,
 // which shows it walks only the lists of the sequence's own k-mers.
@@ -344,14 +373,122 @@ func TestRemoveVisitsOnlyTheDocumentsKmers(t *testing.T) {
 		t.Fatal(err)
 	}
 	foreign, _ := seq.KmerAt(other, 0, 4)
-	ix.postings[foreign] = append(ix.postings[foreign], posting{doc: 1, pos: 0})
+	// Doc 1 holds ordinal 0, so its planted posting sorts first.
+	ix.postings[foreign] = append([]posting{{ord: ix.ords[1], pos: 0}}, ix.postings[foreign]...)
 	ix.Remove(1, s)
 	aaaa, _ := seq.KmerAt(s, 0, 4)
 	if _, ok := ix.postings[aaaa]; ok {
 		t.Error("the document's own k-mer list survived Remove")
 	}
-	if ps := ix.postings[foreign]; len(ps) != 2 || ps[1].doc != 1 {
+	if ps := ix.postings[foreign]; len(ps) != 2 || ix.docs[ps[0].ord] != 1 {
 		t.Errorf("Remove visited a list outside the document's k-mers: %v", ps)
+	}
+}
+
+// TestRemoveWithOtherSequence: a Remove handed a sequence other than the
+// one added leaves the document's postings behind under its dead
+// ordinal. They must never surface as an answer, not even once the
+// DocID is indexed again, and the next renumbering drops them.
+func TestRemoveWithOtherSequence(t *testing.T) {
+	ix, _ := New(4)
+	old, _ := seq.NewNucSeq(seq.AlphaDNA, "ACGTACGTAA")
+	other, _ := seq.NewNucSeq(seq.AlphaDNA, "CCCCGGGG")
+	if err := ix.Add(1, old); err != nil {
+		t.Fatal(err)
+	}
+	// Doc 2 stays live, so the dead ordinal is not renumbered away at once.
+	if err := ix.Add(2, other); err != nil {
+		t.Fatal(err)
+	}
+	ix.Remove(1, other)
+	check := func(pat string, want []DocID) {
+		t.Helper()
+		if got, _ := ix.Candidates(pat); !reflect.DeepEqual(got, want) {
+			t.Errorf("Candidates(%s) = %v, want %v", pat, got, want)
+		}
+		if got := ix.SeedHits(mustPat(t, pat), 1); len(got) != len(want) {
+			t.Errorf("SeedHits(%s) = %v, want %v", pat, got, want)
+		}
+	}
+	check("ACGTACGT", nil)
+	if err := ix.Add(1, old); err != nil {
+		t.Fatal(err)
+	}
+	check("ACGTACGT", []DocID{1})
+	ix.Remove(1, old)
+	if st := ix.Stats(); st.Docs != 1 || st.Postings != other.Len()-3 || len(ix.docs) != 1 {
+		t.Errorf("after renumbering: %+v with %d ordinals, want doc 2 alone", st, len(ix.docs))
+	}
+}
+
+// TestAddAllocations: Add appends onto existing lists and builds no
+// per-document map, so a 160-base document into a warmed index allocates
+// only when a list outgrows its capacity. At 16000 documents the 8-mer
+// lists average about 37 postings.
+func TestAddAllocations(t *testing.T) {
+	const warm, runs = 16000, 200
+	ix, err := New(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := make([]seq.NucSeq, warm+runs+1)
+	for i := range docs {
+		docs[i] = randDNA(int64(i), 160)
+	}
+	for i := 0; i < warm; i++ {
+		if err := ix.Add(DocID(i), docs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := warm
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := ix.Add(DocID(next), docs[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs >= 10 {
+		t.Errorf("Add allocates %.1f times per 160-base document, want under 10", allocs)
+	}
+}
+
+// TestOrdinalSpaceExhausted: ordinals are never reused, so once the
+// space is used up Add and AddAll fail and change nothing, until a
+// renumbering frees dead ordinals.
+func TestOrdinalSpaceExhausted(t *testing.T) {
+	ix, _ := New(4)
+	ix.maxOrds = 3
+	docs := docCorpus(t, 6, 20)
+	for _, d := range docs[:3] {
+		if err := ix.Add(d.ID, d.Seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := ix.Stats()
+	if err := ix.Add(docs[3].ID, docs[3].Seq); err == nil {
+		t.Fatal("Add past the ordinal space succeeded")
+	}
+	ix.Remove(docs[0].ID, docs[0].Seq)
+	if err := ix.Add(docs[3].ID, docs[3].Seq); err == nil {
+		t.Fatal("Add reused a dead ordinal")
+	}
+	// A second Remove makes dead ordinals outnumber live ones: the
+	// renumbering leaves one ordinal in use and two free.
+	ix.Remove(docs[1].ID, docs[1].Seq)
+	if len(ix.docs) != 1 {
+		t.Fatalf("after renumbering %d ordinals are in use, want 1", len(ix.docs))
+	}
+	if err := ix.AddAll(context.Background(), docs[3:6], 2); err == nil {
+		t.Fatal("AddAll past the ordinal space succeeded")
+	}
+	if ix.Docs() != 1 {
+		t.Fatalf("a failed AddAll left %d documents, want 1", ix.Docs())
+	}
+	if err := ix.AddAll(context.Background(), docs[3:5], 2); err != nil {
+		t.Fatal(err)
+	}
+	if st := ix.Stats(); st.Docs != 3 || before.Docs != 3 {
+		t.Errorf("Stats = %+v, want 3 documents", st)
 	}
 }
 

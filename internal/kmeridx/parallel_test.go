@@ -59,8 +59,8 @@ func TestAddAllMatchesSerial(t *testing.T) {
 		if !reflect.DeepEqual(serial.postings, par.postings) {
 			t.Fatalf("workers=%d: postings differ from serial build", workers)
 		}
-		if !reflect.DeepEqual(serial.docLens, par.docLens) {
-			t.Fatalf("workers=%d: docLens differ from serial build", workers)
+		if !reflect.DeepEqual(serial.docs, par.docs) || !reflect.DeepEqual(serial.ords, par.ords) {
+			t.Fatalf("workers=%d: ordinals differ from serial build", workers)
 		}
 	}
 }

@@ -73,9 +73,16 @@ func templateKey(sql string) (key []byte, vals []any, ok bool) {
 	if len(sql) > maxTemplateText {
 		return nil, nil, false
 	}
+	// The first token must be the SELECT keyword; anything else is
+	// turned away before the key is allocated.
+	kind, start, end, err := scanToken(sql, 0)
+	if err != nil || kind != tokIdent || !strings.EqualFold(sql[start:end], "SELECT") {
+		return nil, nil, false
+	}
 	kb := make([]byte, 0, len(sql))
-	prev := ""
-	for i := 0; ; {
+	kb = append(kb, sql[:end]...)
+	prev := sql[start:end]
+	for i := end; ; {
 		kind, start, end, err := scanToken(sql, i)
 		if err != nil {
 			return nil, nil, false
@@ -85,13 +92,7 @@ func templateKey(sql string) (key []byte, vals []any, ok bool) {
 		text := sql[start:end]
 		switch {
 		case kind == tokEOF:
-			return kb, vals, prev != ""
-		case prev == "":
-			// The first token must be the SELECT keyword.
-			if kind != tokIdent || !strings.EqualFold(text, "SELECT") {
-				return nil, nil, false
-			}
-			kb = append(kb, text...)
+			return kb, vals, true
 		case kind == tokString:
 			vals = append(vals, stringValue(text))
 			kb = append(kb, '?', litString)

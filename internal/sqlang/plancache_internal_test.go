@@ -2,6 +2,7 @@ package sqlang
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -20,6 +21,7 @@ func TestTemplateKey(t *testing.T) {
 		{`SELECT a FROM t WHERE x = 2.0`, `SELECT a FROM t WHERE x = 2.5e-3`},
 		{`SELECT a FROM t WHERE x = "q"`, `SELECT a FROM t WHERE x = 'r'`},
 		{`select a from t where f(x, 'ACGT') -- c`, `select a from t where f(x, 'A') -- c`},
+		{" -- lead\nSELECT a FROM t WHERE x = 1", " -- lead\nSELECT a FROM t WHERE x = 2"},
 	}
 	for _, c := range same {
 		if a, b := key(c[0]), key(c[1]); a != b {
@@ -57,5 +59,24 @@ func TestTemplateKey(t *testing.T) {
 		if k, _, ok := templateKey(sql); ok {
 			t.Errorf("templateKey(%q) = %q, want refusal", sql, k)
 		}
+	}
+}
+
+// TestTemplateKeyRefusalAllocatesNothing: a statement that is not a
+// SELECT is turned away on its first token, before the key buffer is
+// allocated. An ingest batch INSERT is a few KiB of text.
+func TestTemplateKeyRefusalAllocatesNothing(t *testing.T) {
+	row := `('F000123', 'Homo sapiens', 'ingested fragment', 'perf', 1, 0.5, 0.9, 1, '` + strings.Repeat("ACGT", 40) + `')`
+	insert := `INSERT INTO ingest VALUES ` + strings.Repeat(row+", ", 15) + row
+	if len(insert) > maxTemplateText {
+		t.Fatalf("INSERT of %d bytes is over the cached-text bound", len(insert))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, ok := templateKey(insert); ok {
+			t.Fatal("templateKey accepted an INSERT")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("templateKey allocates %.0f times to refuse an INSERT, want 0", allocs)
 	}
 }

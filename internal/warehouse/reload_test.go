@@ -3,10 +3,12 @@ package warehouse
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"genalg/internal/db"
 	"genalg/internal/etl"
+	"genalg/internal/gdt"
 	"genalg/internal/ontology"
 	"genalg/internal/sources"
 	"genalg/internal/wal"
@@ -68,18 +70,76 @@ func mutate(t *testing.T, repos []*sources.Repo, dets []etl.Detector, seed int64
 // repositories as they stand.
 func reloadDump(t *testing.T, repos []*sources.Repo) map[string][]db.Row {
 	t.Helper()
+	return dumpPublic(t, reloaded(t, repos))
+}
+
+// reloaded is a fresh warehouse loaded from the repositories as they stand.
+func reloaded(t *testing.T, repos []*sources.Repo) *Warehouse {
+	t.Helper()
 	w := newWarehouse(t)
 	if _, err := w.InitialLoad(context.Background(), repos); err != nil {
 		t.Fatal(err)
 	}
-	return dumpPublic(t, w)
+	return w
+}
+
+// oracleK is the word length of the k-mer index the oracle keeps on
+// fragments.fragment.
+const oracleK = 8
+
+// checkGenomicIndex requires contains(fragment, p) answered through w's
+// k-mer index to equal a scan of w's fragments and the same query on the
+// reload (which has no index, so it scans), for a pattern cut from each
+// live fragment.
+func checkGenomicIndex(t *testing.T, w, reload *Warehouse) {
+	t.Helper()
+	tbl, ok := w.DB.Table(TableFragments)
+	if !ok {
+		t.Fatal("no fragments table")
+	}
+	rows := mustQuery(t, w, "alice", `SELECT id, fragment FROM fragments ORDER BY id`).Rows
+	for i := range rows {
+		s := rows[i][1].(gdt.DNA).Seq
+		lo := s.Len() / 3
+		if s.Len() < lo+oracleK+8 {
+			continue
+		}
+		pat := s.Slice(lo, lo+oracleK+i%9)
+		rids, err := tbl.GenomicLookup("fragment", pat.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var viaIndex, viaScan, viaReload []string
+		for _, rid := range rids {
+			row, err := tbl.Get(rid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			viaIndex = append(viaIndex, row[0].(string))
+		}
+		slices.Sort(viaIndex)
+		for _, row := range rows {
+			if row[1].(gdt.DNA).Seq.Contains(pat) {
+				viaScan = append(viaScan, row[0].(string))
+			}
+		}
+		q := fmt.Sprintf(`SELECT id FROM fragments WHERE contains(fragment, '%s') ORDER BY id`, pat)
+		for _, row := range mustQuery(t, reload, "alice", q).Rows {
+			viaReload = append(viaReload, row[0].(string))
+		}
+		if !slices.Equal(viaIndex, viaScan) || !slices.Equal(viaIndex, viaReload) {
+			t.Fatalf("contains(fragment, %s): index %v, scan %v, reload %v", pat, viaIndex, viaScan, viaReload)
+		}
+	}
 }
 
 // checkIncrementalEqualsReload loads nsrc overlapping sources, runs two
 // rounds of random source changes through their monitors and ApplyDeltas,
 // and requires the public space to equal a fresh reload of the changed
-// sources, row for row and column for column. A durable warehouse must
-// also equal it after a reopen.
+// sources, row for row and column for column. A k-mer index on
+// fragments.fragment must answer contains like a scan and the reload
+// after every round. A durable warehouse must also equal the reload after
+// a reopen, its index rebuilt by replay.
 func checkIncrementalEqualsReload(t *testing.T, seed int64, nsrc int, errRate float64, monitor int, durable bool) {
 	const n, rounds, updates = 40, 2, 8
 	repos := oracleRepos(n, nsrc, errRate, monitor)
@@ -97,14 +157,20 @@ func checkIncrementalEqualsReload(t *testing.T, seed int64, nsrc int, errRate fl
 	if _, err := w.InitialLoad(context.Background(), repos); err != nil {
 		t.Fatal(err)
 	}
+	if err := w.DB.CreateGenomicIndexOn(TableFragments, "fragment", oracleK); err != nil {
+		t.Fatal(err)
+	}
 	dets := watch(t, repos)
+	var reload *Warehouse
 	for round := 0; round < rounds; round++ {
 		batch := mutate(t, repos, dets, seed*rounds+int64(round), updates)
 		if _, err := w.ApplyDeltas(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
+		reload = reloaded(t, repos)
+		checkGenomicIndex(t, w, reload)
 	}
-	want := reloadDump(t, repos)
+	want := dumpPublic(t, reload)
 	if d := diffPublic(dumpPublic(t, w), want); d != "" {
 		t.Fatalf("incremental differs from reload: %s", d)
 	}
@@ -114,9 +180,11 @@ func checkIncrementalEqualsReload(t *testing.T, seed int64, nsrc int, errRate fl
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if d := diffPublic(dumpPublic(t, reopen(t, dir)), want); d != "" {
+	reopened := reopen(t, dir)
+	if d := diffPublic(dumpPublic(t, reopened), want); d != "" {
 		t.Fatalf("reopened incremental differs from reload: %s", d)
 	}
+	checkGenomicIndex(t, reopened, reload)
 }
 
 // TestIncrementalEqualsFullReload is the paper's Section 5.2 claim as an
