@@ -80,11 +80,13 @@ bench:
 # and writes a throwaway BENCH_e12.json snapshot — CI proof that both the
 # experiment and the -bench-json emitter stay runnable. The committed
 # BENCH_e12.json at the repo root is regenerated at full scale with
-# `go run ./cmd/benchtab -only e12 -bench-json .`.
+# `go run ./cmd/benchtab -only e12 -bench-json .`. It then runs each k-mer
+# index benchmark once, so they keep compiling and running.
 bench-smoke:
 	mkdir -p bin/bench-smoke
 	$(GO) run ./cmd/benchtab -only e12 -quick -bench-json bin/bench-smoke
 	@test -s bin/bench-smoke/BENCH_e12.json || { echo "bench-smoke: missing BENCH_e12.json"; exit 1; }
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/kmeridx
 	@echo "bench-smoke: ok"
 
 # smoke drives the two binaries end to end with small fixtures, then the

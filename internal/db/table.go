@@ -9,8 +9,8 @@ import (
 	"genalg/internal/btree"
 	"genalg/internal/kmeridx"
 	"genalg/internal/parallel"
-	"genalg/internal/seq"
 	"genalg/internal/storage"
+	"genalg/internal/trace"
 )
 
 // ridToU64 packs a RID for index payloads.
@@ -397,38 +397,28 @@ func (t *Table) IndexRange(col string, lo, hi any) ([]storage.RID, error) {
 }
 
 // GenomicLookup returns the RIDs of rows whose col sequence contains the
-// pattern, using the k-mer index with verification against stored rows.
-// It returns (*kmeridx.ErrPatternTooShort) when the pattern is shorter than
-// the index word, signalling the planner to scan instead.
+// pattern, in ascending RID order. The k-mer index's candidates are exact,
+// so no stored row is read. It returns (*kmeridx.ErrPatternTooShort) when
+// the pattern is shorter than the index word, signalling the planner to
+// scan instead.
 func (t *Table) GenomicLookup(col, pattern string) ([]storage.RID, error) {
 	return t.GenomicLookupCtx(context.Background(), col, pattern)
 }
 
 // GenomicLookupCtx is GenomicLookup under the caller's context, so the
-// k-mer lookup (and its candidate verification fan-out) appears as a child
-// span of a traced statement and observes cancellation.
-func (t *Table) GenomicLookupCtx(ctx context.Context, col, pattern string) ([]storage.RID, error) {
+// k-mer lookup appears as a "kmeridx.candidates" child span of a traced
+// statement.
+func (t *Table) GenomicLookupCtx(ctx context.Context, col, pattern string) (_ []storage.RID, err error) {
+	_, sp := trace.Start(ctx, "kmeridx.candidates")
+	sp.SetAttr("pattern", pattern)
+	defer func() { sp.EndSpan(err) }()
 	t.mu.RLock()
 	ix, ok := t.kmers[col]
 	t.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("db: no genomic index on %s.%s", t.schema.Table, col)
 	}
-	ci := t.schema.ColIndex(col)
-	udt, _ := t.reg.Get(t.schema.Columns[ci].UDTName)
-	// Verification decodes only the indexed column, into position 0.
-	only := KeepColumns(len(t.schema.Columns), ci)
-	docs, err := ix.Lookup(ctx, pattern, func(doc kmeridx.DocID) (seq.NucSeq, error) {
-		row, err := t.Get(u64ToRID(uint64(doc)), only...)
-		if err != nil {
-			return seq.NucSeq{}, err
-		}
-		got, ok := udt.ExtractSeq(row[0])
-		if !ok {
-			return seq.NucSeq{}, fmt.Errorf("db: row %d has no extractable sequence", doc)
-		}
-		return got, nil
-	}, parallel.Workers())
+	docs, err := ix.Candidates(pattern)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package kmeridx
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -41,22 +40,34 @@ func (p *program) dna() seq.NucSeq {
 }
 
 // FuzzIndexAgainstScan runs random Add, AddAll and Remove sequences over
-// short DNA at k=4, with repeated DocIDs and removes of absent documents,
-// and after every step checks the index against a brute-force model: the
-// live documents and their sequences.
+// short DNA, with repeated DocIDs and removes of absent documents, and
+// after every step checks the index against a brute-force model: the
+// live documents and their sequences. The input picks k = 4, a dense
+// directory, or k = 9, a map.
 func FuzzIndexAgainstScan(f *testing.F) {
 	// Ops: 0/1 Add(id, dna), 2 Remove(id), 3 AddAll(n, workers, n*(id, dna)).
-	f.Add([]byte{0, 1, 30, 7, 0, 2, 25, 8, 2, 1, 0, 0, 0, 1, 30, 7})
-	f.Add([]byte{3, 3, 2, 1, 20, 1, 2, 20, 2, 1, 20, 3, 3, 1, 0, 4, 5, 6})
+	seeds := [][]byte{
+		{0, 1, 30, 7, 0, 2, 25, 8, 2, 1, 0, 0, 0, 1, 30, 7},
+		{3, 3, 2, 1, 20, 1, 2, 20, 2, 1, 20, 3, 3, 1, 0, 4, 5, 6},
+	}
 	// Churn: eight documents in, six out (a renumbering), three more in.
 	churn := []byte{3, 3, 1, 1, 39, 1, 2, 39, 2, 3, 39, 3, 4, 39, 4, 3, 3, 1, 5, 39, 5, 6, 39, 6, 7, 39, 7, 8, 39, 8}
 	for _, id := range []byte{1, 3, 5, 7, 2, 8} {
 		churn = append(churn, 2, id, 0, 0)
 	}
 	churn = append(churn, 0, 9, 33, 9, 1, 1, 33, 10, 0, 3, 12, 3)
-	f.Add(churn)
-	f.Fuzz(func(t *testing.T, b []byte) {
-		ix, err := New(4)
+	seeds = append(seeds, churn)
+	for _, sparse := range []bool{false, true} {
+		for _, b := range seeds {
+			f.Add(sparse, b)
+		}
+	}
+	f.Fuzz(func(t *testing.T, sparse bool, b []byte) {
+		k := 4
+		if sparse {
+			k = 9
+		}
+		ix, err := New(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,11 +120,11 @@ func FuzzIndexAgainstScan(f *testing.F) {
 }
 
 // checkAgainstScan compares the index with the model: its shape, and the
-// answers of Lookup, Candidates and SeedHits for a pattern cut from each
-// live document plus one random pattern.
+// answers of Candidates and SeedHits for a pattern cut from each live
+// document plus one random pattern.
 func checkAgainstScan(t *testing.T, ix *Index, model map[DocID]seq.NucSeq, r *rand.Rand) {
 	t.Helper()
-	const k = 4
+	k := ix.K()
 	if got := ix.Docs(); got != len(model) {
 		t.Fatalf("Docs = %d, model has %d", got, len(model))
 	}
@@ -127,13 +138,13 @@ func checkAgainstScan(t *testing.T, ix *Index, model map[DocID]seq.NucSeq, r *ra
 	if len(ix.docs) > 2*len(ix.ords) {
 		t.Fatalf("%d ordinals for %d live documents", len(ix.docs), len(ix.ords))
 	}
-	for km, ps := range ix.postings {
+	ix.dir.each(func(km seq.Kmer, ps []posting) {
 		for i := 1; i < len(ps); i++ {
 			if a, b := ps[i-1], ps[i]; a.ord > b.ord || a.ord == b.ord && a.pos >= b.pos {
 				t.Fatalf("list %s unsorted at %d: %v", seq.KmerString(km, k), i, ps)
 			}
 		}
-	}
+	})
 	want := map[seq.Kmer][]docPos{}
 	for doc, s := range model {
 		seq.EachKmer(s, k, func(pos int, km seq.Kmer) bool {
@@ -154,13 +165,6 @@ func checkAgainstScan(t *testing.T, ix *Index, model map[DocID]seq.NucSeq, r *ra
 	}
 
 	// Answers.
-	fetch := func(d DocID) (seq.NucSeq, error) {
-		s, ok := model[d]
-		if !ok {
-			return seq.NucSeq{}, fmt.Errorf("candidate %d is not live", d)
-		}
-		return s, nil
-	}
 	var pats []seq.NucSeq
 	ids := make([]DocID, 0, len(model))
 	for doc := range model {
@@ -170,10 +174,10 @@ func checkAgainstScan(t *testing.T, ix *Index, model map[DocID]seq.NucSeq, r *ra
 	for _, doc := range ids {
 		if n := model[doc].Len(); n > 0 {
 			lo := r.Intn(n)
-			pats = append(pats, model[doc].Slice(lo, min(n, lo+1+r.Intn(12))))
+			pats = append(pats, model[doc].Slice(lo, min(n, lo+1+r.Intn(3*k))))
 		}
 	}
-	pats = append(pats, randDNA(r.Int63(), r.Intn(12)))
+	pats = append(pats, randDNA(r.Int63(), r.Intn(3*k)))
 	for _, pat := range pats {
 		var scan []DocID
 		for doc, s := range model {
@@ -182,26 +186,19 @@ func checkAgainstScan(t *testing.T, ix *Index, model map[DocID]seq.NucSeq, r *ra
 			}
 		}
 		slices.Sort(scan)
-		found, err := ix.Lookup(context.Background(), pat.String(), fetch, 2)
+		cands, err := ix.Candidates(pat.String())
 		if pat.Len() < k {
 			var short *ErrPatternTooShort
 			if !errors.As(err, &short) {
-				t.Fatalf("Lookup(%s) = %v, want ErrPatternTooShort", pat, err)
+				t.Fatalf("Candidates(%s) = %v, want ErrPatternTooShort", pat, err)
 			}
 			continue
 		}
 		if err != nil {
-			t.Fatalf("Lookup(%s): %v", pat, err)
-		}
-		if !slices.Equal(found, scan) {
-			t.Fatalf("Lookup(%s) = %v, scan finds %v", pat, found, scan)
+			t.Fatalf("Candidates(%s): %v", pat, err)
 		}
 		// The windows Candidates intersects cover every base of the
 		// pattern at consistent offsets, so its sorted answer is exact.
-		cands, err := ix.Candidates(pat.String())
-		if err != nil {
-			t.Fatal(err)
-		}
 		if !slices.Equal(cands, scan) {
 			t.Fatalf("Candidates(%s) = %v, scan finds %v", pat, cands, scan)
 		}

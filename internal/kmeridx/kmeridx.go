@@ -13,6 +13,15 @@
 // binary search. Removed documents leave dead ordinals behind; when they
 // outnumber the live ones, the live ordinals are renumbered in ascending
 // order, which keeps every list sorted.
+//
+// The posting lists live in a directory keyed by the packed k-mer. For
+// k <= 8 it is a slice of 4^k lists indexed directly by the k-mer, so
+// appending a posting costs an index and an append, not a hash-map
+// assignment; 4^8 = 65,536 slice headers take 1.5 MiB, no more than a
+// map holding that many k-mers. Above k = 8 a dense directory would
+// grow fourfold per base (k = 11 needs 100 MiB), so a map holds only the
+// k-mers that occur. New picks the representation from k; either is
+// allocated on the first Add, so an empty index costs nothing.
 package kmeridx
 
 import (
@@ -42,12 +51,76 @@ type posting struct {
 // never handed out.
 const deadOrd = math.MaxUint32
 
+// denseK is the largest word length with a dense directory: 4^denseK
+// list headers.
+const denseK = 8
+
+// directory holds one posting list per k-mer: a slice indexed by the
+// packed k-mer for k <= denseK, a map above. It is the only code that
+// knows the format; both are allocated on the first add.
+type directory struct {
+	k      int
+	dense  [][]posting
+	sparse map[seq.Kmer][]posting
+}
+
+// add appends ps to km's list.
+func (d *directory) add(km seq.Kmer, ps ...posting) {
+	if d.k <= denseK {
+		if d.dense == nil {
+			d.dense = make([][]posting, 1<<(2*d.k))
+		}
+		d.dense[km] = append(d.dense[km], ps...)
+		return
+	}
+	if d.sparse == nil {
+		d.sparse = make(map[seq.Kmer][]posting)
+	}
+	d.sparse[km] = append(d.sparse[km], ps...)
+}
+
+// list returns km's list, nil when km has no postings.
+func (d *directory) list(km seq.Kmer) []posting {
+	if d.dense != nil {
+		return d.dense[km]
+	}
+	return d.sparse[km]
+}
+
+// put replaces km's list with ps, which may share its backing array; an
+// empty ps drops the list.
+func (d *directory) put(km seq.Kmer, ps []posting) {
+	if len(ps) == 0 {
+		ps = nil
+	}
+	switch {
+	case d.dense != nil:
+		d.dense[km] = ps
+	case ps == nil:
+		delete(d.sparse, km)
+	default:
+		d.sparse[km] = ps
+	}
+}
+
+// each calls fn with every non-empty list. fn may put km's list.
+func (d *directory) each(fn func(km seq.Kmer, ps []posting)) {
+	for km, ps := range d.dense {
+		if len(ps) > 0 {
+			fn(seq.Kmer(km), ps)
+		}
+	}
+	for km, ps := range d.sparse {
+		fn(km, ps)
+	}
+}
+
 // Index is a k-mer inverted index. It is safe for concurrent use.
 type Index struct {
 	k  int
 	mu sync.RWMutex
-	// postings per k-mer, each list sorted by (ord, pos).
-	postings map[seq.Kmer][]posting
+	// dir holds the posting lists, each sorted by (ord, pos).
+	dir directory
 	// docs maps an ordinal to its document; ords maps a live document to
 	// its ordinal. An ordinal o is live exactly when ords[docs[o]] == o.
 	docs []DocID
@@ -73,10 +146,10 @@ func New(k int) (*Index, error) {
 		return nil, fmt.Errorf("kmeridx: word length %d out of range [4,%d]", k, seq.MaxK)
 	}
 	return &Index{
-		k:        k,
-		postings: make(map[seq.Kmer][]posting),
-		ords:     make(map[DocID]uint32),
-		maxOrds:  min(deadOrd, math.MaxInt),
+		k:       k,
+		dir:     directory{k: k},
+		ords:    make(map[DocID]uint32),
+		maxOrds: min(deadOrd, math.MaxInt),
 	}, nil
 }
 
@@ -96,7 +169,7 @@ func (ix *Index) Add(doc DocID, s seq.NucSeq) error {
 	}
 	ord := ix.assignLocked(doc)
 	seq.EachKmer(s, ix.k, func(pos int, km seq.Kmer) bool {
-		ix.postings[km] = append(ix.postings[km], posting{ord: ord, pos: int32(pos)})
+		ix.dir.add(km, posting{ord: ord, pos: int32(pos)})
 		return true
 	})
 	return nil
@@ -126,7 +199,7 @@ type Doc struct {
 }
 
 // AddAll indexes a batch of documents with a sharded parallel build:
-// contiguous chunks of the batch are extracted into per-worker posting maps
+// contiguous chunks of the batch are extracted into per-worker directories
 // with batch-relative ordinals (no locking), then merged under one write
 // lock in chunk order with the batch's base ordinal added, so the index
 // ends up identical to serial Adds in batch order.
@@ -152,16 +225,16 @@ func (ix *Index) AddAll(ctx context.Context, docs []Doc, workers int) (err error
 	}
 	workers = parallel.Clamp(workers, len(docs))
 	sp.SetAttr("workers", workers)
-	shards := make([]map[seq.Kmer][]posting, workers)
+	shards := make([]directory, workers)
 	err = parallel.ChunkEach(ctx, len(docs), workers, func(part int, sp parallel.Span) error {
-		sh := make(map[seq.Kmer][]posting)
+		sh := &shards[part]
+		sh.k = ix.k
 		for i := sp.Lo; i < sp.Hi; i++ {
 			seq.EachKmer(docs[i].Seq, ix.k, func(pos int, km seq.Kmer) bool {
-				sh[km] = append(sh[km], posting{ord: uint32(i), pos: int32(pos)})
+				sh.add(km, posting{ord: uint32(i), pos: int32(pos)})
 				return true
 			})
 		}
-		shards[part] = sh
 		return nil
 	})
 	if err != nil {
@@ -183,13 +256,13 @@ func (ix *Index) AddAll(ctx context.Context, docs []Doc, workers int) (err error
 	}
 	// Shards cover contiguous chunks and every new ordinal is above the
 	// existing ones; merging in chunk order keeps every list sorted.
-	for _, sh := range shards {
-		for km, ps := range sh {
-			for i := range ps {
-				ps[i].ord += base
+	for i := range shards {
+		shards[i].each(func(km seq.Kmer, ps []posting) {
+			for j := range ps {
+				ps[j].ord += base
 			}
-			ix.postings[km] = append(ix.postings[km], ps...)
-		}
+			ix.dir.add(km, ps...)
+		})
 	}
 	return nil
 }
@@ -208,15 +281,10 @@ func (ix *Index) Remove(doc DocID, s seq.NucSeq) {
 	}
 	delete(ix.ords, doc)
 	seq.EachKmer(s, ix.k, func(_ int, km seq.Kmer) bool {
-		ps := ix.postings[km]
-		lo, hi := ordRun(ps, ord)
-		switch {
-		case lo == hi:
-			// A repeated k-mer: its list is already clean.
-		case hi-lo == len(ps):
-			delete(ix.postings, km)
-		default:
-			ix.postings[km] = append(ps[:lo], ps[hi:]...)
+		// A repeated k-mer finds its list already clean: lo == hi.
+		ps := ix.dir.list(km)
+		if lo, hi := ordRun(ps, ord); lo < hi {
+			ix.dir.put(km, append(ps[:lo], ps[hi:]...))
 		}
 		return true
 	})
@@ -255,19 +323,15 @@ func (ix *Index) renumberLocked() {
 		live = append(live, doc)
 	}
 	ix.docs = live
-	for km, ps := range ix.postings {
+	ix.dir.each(func(km seq.Kmer, ps []posting) {
 		kept := ps[:0]
 		for _, p := range ps {
 			if n := remap[p.ord]; n != deadOrd {
 				kept = append(kept, posting{ord: n, pos: p.pos})
 			}
 		}
-		if len(kept) == 0 {
-			delete(ix.postings, km)
-		} else {
-			ix.postings[km] = kept
-		}
-	}
+		ix.dir.put(km, kept)
+	})
 }
 
 // liveLocked reports whether ordinal o belongs to an indexed document.
@@ -283,11 +347,11 @@ func (ix *Index) Docs() int {
 	return len(ix.ords)
 }
 
-// Candidates returns the documents that may contain the pattern, by
-// intersecting posting lists of the pattern's k-mers at consistent offsets.
-// Every true match is a candidate (no false negatives); candidates may
-// still need verification when pattern bases beyond whole k-mer windows
-// exist — Lookup performs that verification.
+// Candidates returns the documents that contain the pattern, in ascending
+// DocID order, by intersecting the posting lists of the pattern's k-mers
+// at consistent offsets. The intersected windows cover every base of the
+// pattern and postings of removed documents are filtered out, so the
+// answer is exact and needs no verification against the sequences.
 func (ix *Index) Candidates(pattern string) ([]DocID, error) {
 	pat, err := seq.NewNucSeq(seq.AlphaDNA, pattern)
 	if err != nil {
@@ -303,7 +367,7 @@ func (ix *Index) Candidates(pattern string) ([]DocID, error) {
 	// still sorted by (ord, start). cands aliases that list until the
 	// first merge writes into a slice of its own.
 	first, _ := seq.KmerAt(pat, 0, ix.k)
-	cands := ix.postings[first]
+	cands := ix.dir.list(first)
 	owned := false
 	// Confirm each subsequent non-overlapping k-mer window (stride k), then
 	// the final window anchored at the pattern end.
@@ -313,7 +377,7 @@ func (ix *Index) Candidates(pattern string) ([]DocID, error) {
 			off = last
 		}
 		km, _ := seq.KmerAt(pat, off, ix.k)
-		list := ix.postings[km]
+		list := ix.dir.list(km)
 		kept := cands[:0]
 		if !owned {
 			kept = make([]posting, 0, min(len(cands), len(list)))
@@ -351,45 +415,6 @@ func intersect(dst, cands, list []posting, off int32) []posting {
 	return dst
 }
 
-// Lookup returns the documents that contain the pattern, verifying each
-// candidate against the actual sequence via fetch. fetch errors abort the
-// lookup. Verification fans out across at most workers goroutines
-// (workers <= 0 selects the default bound), so fetch must be safe for
-// concurrent use (the database's row fetch is). Results are in candidate
-// (ascending DocID) order and identical for any worker count. The lookup
-// runs inside a "kmeridx.lookup" span (candidate count recorded as an
-// event) and verification observes cancellation.
-func (ix *Index) Lookup(ctx context.Context, pattern string, fetch func(DocID) (seq.NucSeq, error), workers int) (out []DocID, err error) {
-	ctx, sp := trace.Start(ctx, "kmeridx.lookup")
-	sp.SetAttr("pattern", pattern)
-	defer func() { sp.EndSpan(err) }()
-	cands, err := ix.Candidates(pattern)
-	if err != nil {
-		return nil, err
-	}
-	sp.Eventf("%d candidates to verify", len(cands))
-	pat, err := seq.NewNucSeq(seq.AlphaDNA, pattern)
-	if err != nil {
-		return nil, err
-	}
-	verdicts, err := parallel.Map(ctx, cands, workers, func(_ int, doc DocID) (bool, error) {
-		s, err := fetch(doc)
-		if err != nil {
-			return false, fmt.Errorf("kmeridx: verifying doc %d: %w", doc, err)
-		}
-		return s.Contains(pat), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, ok := range verdicts {
-		if ok {
-			out = append(out, cands[i])
-		}
-	}
-	return out, nil
-}
-
 // SeedHits returns, for similarity search, the documents sharing at least
 // minSeeds distinct k-mer positions with the query, ordered by descending
 // shared-seed count.
@@ -405,7 +430,7 @@ func (ix *Index) SeedHits(query seq.NucSeq, minSeeds int) []DocID {
 	counts := make(map[uint32]int)
 	ix.mu.RLock()
 	seq.EachKmer(query, ix.k, func(pos int, km seq.Kmer) bool {
-		for _, p := range ix.postings[km] {
+		for _, p := range ix.dir.list(km) {
 			counts[p.ord]++
 		}
 		return true
@@ -429,7 +454,7 @@ func (ix *Index) SeedHits(query seq.NucSeq, minSeeds int) []DocID {
 	return out
 }
 
-// Stats summarizes index shape for the planner's cost model.
+// Stats summarizes index shape.
 type Stats struct {
 	Docs         int
 	DistinctKmer int
@@ -440,9 +465,10 @@ type Stats struct {
 func (ix *Index) Stats() Stats {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	st := Stats{Docs: len(ix.ords), DistinctKmer: len(ix.postings)}
-	for _, ps := range ix.postings {
+	st := Stats{Docs: len(ix.ords)}
+	ix.dir.each(func(_ seq.Kmer, ps []posting) {
+		st.DistinctKmer++
 		st.Postings += len(ps)
-	}
+	})
 	return st
 }

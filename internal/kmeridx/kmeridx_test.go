@@ -22,9 +22,8 @@ func randDNA(seed int64, n int) seq.NucSeq {
 	return seq.FromBases(seq.AlphaDNA, bases)
 }
 
-// corpus builds an index plus a fetcher over n random docs of length
-// docLen.
-func corpus(t testing.TB, k, n, docLen int) (*Index, map[DocID]seq.NucSeq, func(DocID) (seq.NucSeq, error)) {
+// corpus builds an index over n random docs of length docLen.
+func corpus(t testing.TB, k, n, docLen int) (*Index, map[DocID]seq.NucSeq) {
 	ix, err := New(k)
 	if err != nil {
 		t.Fatal(err)
@@ -37,14 +36,7 @@ func corpus(t testing.TB, k, n, docLen int) (*Index, map[DocID]seq.NucSeq, func(
 			t.Fatal(err)
 		}
 	}
-	fetch := func(d DocID) (seq.NucSeq, error) {
-		s, ok := docs[d]
-		if !ok {
-			return seq.NucSeq{}, fmt.Errorf("no doc %d", d)
-		}
-		return s, nil
-	}
-	return ix, docs, fetch
+	return ix, docs
 }
 
 func TestNewValidatesK(t *testing.T) {
@@ -75,7 +67,7 @@ func TestAddDuplicate(t *testing.T) {
 }
 
 func TestLookupFindsExactSubstrings(t *testing.T) {
-	ix, docs, fetch := corpus(t, 8, 50, 400)
+	ix, docs := corpus(t, 8, 50, 400)
 	// Take substrings of known docs at varied offsets/lengths and verify
 	// the owning doc is always found.
 	for docID, s := range docs {
@@ -84,9 +76,9 @@ func TestLookupFindsExactSubstrings(t *testing.T) {
 		}
 		for _, span := range [][2]int{{0, 20}, {100, 131}, {380, 400}, {50, 58}} {
 			pat := s.Slice(span[0], span[1]).String()
-			got, err := ix.Lookup(context.Background(), pat, fetch, 0)
+			got, err := ix.Candidates(pat)
 			if err != nil {
-				t.Fatalf("Lookup(%q): %v", pat, err)
+				t.Fatalf("Candidates(%q): %v", pat, err)
 			}
 			found := false
 			for _, d := range got {
@@ -116,7 +108,7 @@ func mustPat(t *testing.T, p string) seq.NucSeq {
 }
 
 func TestLookupAgainstScanProperty(t *testing.T) {
-	ix, docs, fetch := corpus(t, 8, 30, 200)
+	ix, docs := corpus(t, 8, 30, 200)
 	f := func(seed int64, lenSel uint8) bool {
 		// Random pattern: sometimes from a doc, sometimes random.
 		patLen := 8 + int(lenSel%40)
@@ -131,7 +123,7 @@ func TestLookupAgainstScanProperty(t *testing.T) {
 		} else {
 			pat = randDNA(seed, patLen).String()
 		}
-		got, err := ix.Lookup(context.Background(), pat, fetch, 0)
+		got, err := ix.Candidates(pat)
 		if err != nil {
 			return false
 		}
@@ -153,8 +145,8 @@ func TestLookupAgainstScanProperty(t *testing.T) {
 }
 
 func TestPatternTooShort(t *testing.T) {
-	ix, _, fetch := corpus(t, 8, 2, 100)
-	_, err := ix.Lookup(context.Background(), "ACGT", fetch, 0)
+	ix, _ := corpus(t, 8, 2, 100)
+	_, err := ix.Candidates("ACGT")
 	var tooShort *ErrPatternTooShort
 	if !errors.As(err, &tooShort) {
 		t.Fatalf("error = %v", err)
@@ -168,29 +160,36 @@ func TestPatternTooShort(t *testing.T) {
 }
 
 func TestBadPattern(t *testing.T) {
-	ix, _, _ := corpus(t, 8, 1, 50)
+	ix, _ := corpus(t, 8, 1, 50)
 	if _, err := ix.Candidates("ACGTNNNN"); err == nil {
 		t.Error("invalid letters accepted")
 	}
 }
 
 func TestNoMatch(t *testing.T) {
-	ix, _, fetch := corpus(t, 12, 5, 100)
-	got, err := ix.Lookup(context.Background(), strings.Repeat("ACGT", 5), fetch, 0)
+	ix, docs := corpus(t, 12, 5, 100)
+	pat := strings.Repeat("ACGT", 5)
+	got, err := ix.Candidates(pat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Verify against scan: pattern unlikely in random docs but must agree.
-	for _, d := range got {
-		_ = d
+	var scan []DocID
+	for d := DocID(0); d < 5; d++ {
+		if docs[d].Contains(mustPat(t, pat)) {
+			scan = append(scan, d)
+		}
+	}
+	if !reflect.DeepEqual(got, scan) {
+		t.Errorf("Candidates(%s) = %v, scan finds %v", pat, got, scan)
 	}
 }
 
 func TestRemove(t *testing.T) {
-	ix, docs, fetch := corpus(t, 8, 10, 200)
+	ix, docs := corpus(t, 8, 10, 200)
 	target := DocID(3)
 	pat := docs[target].Slice(50, 80).String()
-	got, err := ix.Lookup(context.Background(), pat, fetch, 0)
+	got, err := ix.Candidates(pat)
 	if err != nil || len(got) == 0 {
 		t.Fatalf("pre-remove lookup = %v, %v", got, err)
 	}
@@ -198,7 +197,7 @@ func TestRemove(t *testing.T) {
 	if ix.Docs() != 9 {
 		t.Errorf("Docs after remove = %d", ix.Docs())
 	}
-	got, err = ix.Lookup(context.Background(), pat, fetch, 0)
+	got, err = ix.Candidates(pat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,19 +223,15 @@ func removeFullWalk(ix *Index, doc DocID) {
 		return
 	}
 	delete(ix.ords, doc)
-	for km, ps := range ix.postings {
+	ix.dir.each(func(km seq.Kmer, ps []posting) {
 		kept := ps[:0]
 		for _, p := range ps {
 			if p.ord != ord {
 				kept = append(kept, p)
 			}
 		}
-		if len(kept) == 0 {
-			delete(ix.postings, km)
-		} else {
-			ix.postings[km] = kept
-		}
-	}
+		ix.dir.put(km, kept)
+	})
 }
 
 // repetitiveDNA builds a sequence out of a few short motifs, so the same
@@ -261,10 +256,15 @@ func repetitiveDNA(r *rand.Rand, n int) seq.NucSeq {
 // TestRemoveMatchesFullWalkAndRebuild interleaves Adds and Removes of
 // documents with repeated k-mers and checks the per-document Remove
 // against the full walk (identical posting lists) and against an index
-// built fresh from the surviving documents (identical Candidates and
-// Lookup answers).
+// built fresh from the surviving documents (identical Candidates), with a
+// dense directory (k=6) and a map (k=9).
 func TestRemoveMatchesFullWalkAndRebuild(t *testing.T) {
-	const k = 6
+	for _, k := range []int{6, 9} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) { removeMatchesFullWalkAndRebuild(t, k) })
+	}
+}
+
+func removeMatchesFullWalkAndRebuild(t *testing.T, k int) {
 	r := rand.New(rand.NewSource(11))
 	ix, _ := New(k)
 	ref, _ := New(k)
@@ -304,8 +304,7 @@ func TestRemoveMatchesFullWalkAndRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fetch := func(d DocID) (seq.NucSeq, error) { return docs[d], nil }
-	pats := []string{"ACGTACGTAC", "GGGGCCCC", "ATATAT", "TTGACAACGT", "CCCCTTGACA", "GACATATA"}
+	pats := []string{"ACGTACGTAC", "GGGGCCCC", "ATATAT", "TTGACAACGT", "CCCCTTGACA", "GACATATA", "GGGGCCCCATATATATAT"}
 	for _, d := range live[:min(len(live), 20)] {
 		s := docs[d]
 		if s.Len() >= 12 {
@@ -313,6 +312,9 @@ func TestRemoveMatchesFullWalkAndRebuild(t *testing.T) {
 		}
 	}
 	for _, p := range pats {
+		if len(p) < k {
+			continue
+		}
 		got, err := ix.Candidates(p)
 		if err != nil {
 			t.Fatal(err)
@@ -320,14 +322,6 @@ func TestRemoveMatchesFullWalkAndRebuild(t *testing.T) {
 		want, _ := fresh.Candidates(p)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("Candidates(%s) = %v, rebuilt index gives %v", p, got, want)
-		}
-		got, err = ix.Lookup(context.Background(), p, fetch, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _ = fresh.Lookup(context.Background(), p, fetch, 1)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("Lookup(%s) = %v, rebuilt index gives %v", p, got, want)
 		}
 	}
 }
@@ -341,12 +335,12 @@ type docPos struct {
 // byDoc returns the index's posting lists with ordinals resolved, so two
 // indexes that numbered the same documents differently compare equal.
 func byDoc(ix *Index) map[seq.Kmer][]docPos {
-	out := make(map[seq.Kmer][]docPos, len(ix.postings))
-	for km, ps := range ix.postings {
+	out := map[seq.Kmer][]docPos{}
+	ix.dir.each(func(km seq.Kmer, ps []posting) {
 		for _, p := range ps {
 			out[km] = append(out[km], docPos{ix.docs[p.ord], p.pos})
 		}
-	}
+	})
 	return out
 }
 
@@ -374,13 +368,13 @@ func TestRemoveVisitsOnlyTheDocumentsKmers(t *testing.T) {
 	}
 	foreign, _ := seq.KmerAt(other, 0, 4)
 	// Doc 1 holds ordinal 0, so its planted posting sorts first.
-	ix.postings[foreign] = append([]posting{{ord: ix.ords[1], pos: 0}}, ix.postings[foreign]...)
+	ix.dir.put(foreign, append([]posting{{ord: ix.ords[1], pos: 0}}, ix.dir.list(foreign)...))
 	ix.Remove(1, s)
 	aaaa, _ := seq.KmerAt(s, 0, 4)
-	if _, ok := ix.postings[aaaa]; ok {
+	if ix.dir.list(aaaa) != nil {
 		t.Error("the document's own k-mer list survived Remove")
 	}
-	if ps := ix.postings[foreign]; len(ps) != 2 || ix.docs[ps[0].ord] != 1 {
+	if ps := ix.dir.list(foreign); len(ps) != 2 || ix.docs[ps[0].ord] != 1 {
 		t.Errorf("Remove visited a list outside the document's k-mers: %v", ps)
 	}
 }
@@ -493,7 +487,7 @@ func TestOrdinalSpaceExhausted(t *testing.T) {
 }
 
 func TestSeedHits(t *testing.T) {
-	ix, _, _ := corpus(t, 8, 20, 300)
+	ix, _ := corpus(t, 8, 20, 300)
 	// A query made of doc 5's middle region must rank doc 5 first.
 	q := randDNA(1005, 300).Slice(100, 200)
 	hits := ix.SeedHits(q, 3)
@@ -507,7 +501,7 @@ func TestSeedHits(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	ix, _, _ := corpus(t, 8, 5, 100)
+	ix, _ := corpus(t, 8, 5, 100)
 	st := ix.Stats()
 	if st.Docs != 5 {
 		t.Errorf("Stats.Docs = %d", st.Docs)
@@ -518,17 +512,6 @@ func TestStats(t *testing.T) {
 	}
 	if st.DistinctKmer == 0 || st.DistinctKmer > st.Postings {
 		t.Errorf("Stats.DistinctKmer = %d", st.DistinctKmer)
-	}
-}
-
-func TestLookupFetchErrorPropagates(t *testing.T) {
-	ix, docs, _ := corpus(t, 8, 3, 100)
-	pat := docs[0].Slice(0, 30).String()
-	_, err := ix.Lookup(context.Background(), pat, func(DocID) (seq.NucSeq, error) {
-		return seq.NucSeq{}, errors.New("boom")
-	}, 0)
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Errorf("fetch error lost: %v", err)
 	}
 }
 
@@ -565,14 +548,45 @@ func BenchmarkLookup1k(b *testing.B) {
 		docs[DocID(i)] = s
 		ix.Add(DocID(i), s)
 	}
-	fetch := func(d DocID) (seq.NucSeq, error) { return docs[d], nil }
 	pat := docs[500].Slice(100, 132).String()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ix.Lookup(context.Background(), pat, fetch, 0); err != nil {
+		if _, err := ix.Candidates(pat); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAdd adds ingest-shaped documents, 80 to 240 bases, into an
+// index already holding 16000 of them: a dense directory at k=8, a map at
+// k=11.
+func BenchmarkAdd(b *testing.B) {
+	const warm, pool = 16000, 4096
+	r := rand.New(rand.NewSource(7))
+	docs := make([]seq.NucSeq, pool)
+	for i := range docs {
+		docs[i] = randDNA(r.Int63(), 80+r.Intn(161))
+	}
+	for _, k := range []int{8, 11} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			ix, err := New(k)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < warm; i++ {
+				if err := ix.Add(DocID(i), docs[i%pool]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := ix.Add(DocID(warm+i), docs[i%pool]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

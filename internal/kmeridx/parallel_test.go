@@ -36,10 +36,17 @@ func docCorpus(t testing.TB, n, seqLen int) []Doc {
 
 // TestAddAllMatchesSerial is the determinism guard for the sharded build:
 // for every worker count the index must be byte-identical (same postings,
-// same order) to one built with serial Adds.
+// same order) to one built with serial Adds, with a dense directory (k=8)
+// and a map (k=11).
 func TestAddAllMatchesSerial(t *testing.T) {
+	for _, k := range []int{8, 11} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) { addAllMatchesSerial(t, k) })
+	}
+}
+
+func addAllMatchesSerial(t *testing.T, k int) {
 	docs := docCorpus(t, 60, 300)
-	serial, err := New(8)
+	serial, err := New(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,14 +56,14 @@ func TestAddAllMatchesSerial(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		par, err := New(8)
+		par, err := New(k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := par.AddAll(context.Background(), docs, workers); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(serial.postings, par.postings) {
+		if !reflect.DeepEqual(serial.dir, par.dir) {
 			t.Fatalf("workers=%d: postings differ from serial build", workers)
 		}
 		if !reflect.DeepEqual(serial.docs, par.docs) || !reflect.DeepEqual(serial.ords, par.ords) {
@@ -94,20 +101,9 @@ func TestAddAllDuplicateAtomicity(t *testing.T) {
 
 // TestConcurrentAddAllAndLookup drives batch writers and readers
 // simultaneously; run under -race it is the concurrency guard for the
-// narrowed Add critical section and the parallel verification stage.
+// Add and AddAll critical sections against Candidates.
 func TestConcurrentAddAllAndLookup(t *testing.T) {
 	docs := docCorpus(t, 80, 200)
-	byID := make(map[DocID]seq.NucSeq, len(docs))
-	for _, d := range docs {
-		byID[d.ID] = d.Seq
-	}
-	fetch := func(id DocID) (seq.NucSeq, error) {
-		s, ok := byID[id]
-		if !ok {
-			return seq.NucSeq{}, fmt.Errorf("no doc %d", id)
-		}
-		return s, nil
-	}
 	ix, err := New(8)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +137,7 @@ func TestConcurrentAddAllAndLookup(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				pat := docs[(r*17+i)%len(docs)].Seq.String()[:20]
-				if _, err := ix.Lookup(context.Background(), pat, fetch, 2); err != nil {
+				if _, err := ix.Candidates(pat); err != nil {
 					t.Errorf("lookup: %v", err)
 					return
 				}
@@ -156,7 +152,7 @@ func TestConcurrentAddAllAndLookup(t *testing.T) {
 	// Every document must now be findable by its own prefix.
 	for _, d := range docs {
 		pat := d.Seq.String()[:24]
-		hits, err := ix.Lookup(context.Background(), pat, fetch, 4)
+		hits, err := ix.Candidates(pat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,40 +164,6 @@ func TestConcurrentAddAllAndLookup(t *testing.T) {
 		}
 		if !found {
 			t.Fatalf("doc %d not found by its own prefix", d.ID)
-		}
-	}
-}
-
-// TestLookupWorkersMatchesSerial checks the parallel verification stage
-// returns the same documents in the same order for any worker count.
-func TestLookupWorkersMatchesSerial(t *testing.T) {
-	docs := docCorpus(t, 50, 250)
-	byID := make(map[DocID]seq.NucSeq, len(docs))
-	ix, err := New(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range docs {
-		byID[d.ID] = d.Seq
-		if err := ix.Add(d.ID, d.Seq); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fetch := func(id DocID) (seq.NucSeq, error) { return byID[id], nil }
-	for _, d := range docs[:10] {
-		pat := d.Seq.String()[10:40]
-		want, err := ix.Lookup(context.Background(), pat, fetch, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 4, 8} {
-			got, err := ix.Lookup(context.Background(), pat, fetch, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("workers=%d: %v != serial %v", workers, got, want)
-			}
 		}
 	}
 }
