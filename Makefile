@@ -134,8 +134,9 @@ smoke-loadgen:
 # fuzz-short runs the sources parser fuzzer, the row decoder's column-map
 # fuzzer, the join-key equality property, the plan cache's warm-equals-
 # cold property, the wire frame and request decoders, the WAL frame
-# decoder, the k-mer index against a brute-force scan and the
-# incremental-equals-reload oracle briefly (CI budget).
+# decoder, the k-mer index against a brute-force scan, the
+# incremental-equals-reload oracle, the genomic value decoder, the BIQL,
+# SQL and term parsers and the GenAlgXML decoder briefly (CI budget).
 fuzz-short:
 	$(GO) test ./internal/sources -run='^$$' -fuzz=FuzzParseFormats -fuzztime=10s
 	$(GO) test ./internal/db -run='^$$' -fuzz='^FuzzDecodeRow$$' -fuzztime=10s
@@ -146,6 +147,11 @@ fuzz-short:
 	$(GO) test ./internal/wal -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s
 	$(GO) test ./internal/kmeridx -run='^$$' -fuzz='^FuzzIndexAgainstScan$$' -fuzztime=10s
 	$(GO) test ./internal/warehouse -run='^$$' -fuzz='^FuzzIncrementalEqualsReload$$' -fuzztime=10s
+	$(GO) test ./internal/gdt -run='^$$' -fuzz='^FuzzUnpack$$' -fuzztime=10s
+	$(GO) test ./internal/biql -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s
+	$(GO) test ./internal/sqlang -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s
+	$(GO) test ./internal/genalgxml -run='^$$' -fuzz='^FuzzUnmarshal$$' -fuzztime=10s
+	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzParseTerm$$' -fuzztime=10s
 
 # fuzz-sql-short runs the SQL parser fuzzer briefly (CI budget). Seeds
 # come from the regression corpus; the target also checks the

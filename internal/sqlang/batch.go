@@ -36,31 +36,56 @@ func (e *Engine) parScanMinRows() int {
 	return parallelScanThreshold
 }
 
-// joinState is the runtime side of one joinStep: the lazily-built hash
-// table (hash joins) or materialized inner rows (nested loops). Build is
-// deferred to the first non-empty probe batch so an empty probe side never
-// touches the build table — matching the row-at-a-time executor, which
-// never scanned the inner table when no driving row reached the join.
+// joinState is the runtime side of one joinStep: its build side, made on
+// the first non-empty probe batch so an empty probe side never touches the
+// build table — matching the row-at-a-time executor, which never scanned
+// the inner table when no driving row reached the join.
 type joinState struct {
-	step  *joinStep
-	built bool
-	ht    map[string][]db.Row
-	inner []db.Row
-	// merged cuts this step's output rows.
+	step *joinStep
+	b    *joinBuild
+	// kept is the cached template's slot for this step's build (see
+	// keptBuild); nil on the cold paths and for steps that read a literal.
+	kept *keptBuild
+	// out is the step's output batch, reused from one batch to the
+	// next: the filters and the later steps consume it, and the working
+	// set copies its row headers, before the next batch overwrites it.
+	out []db.Row
+	// merged cuts this step's output rows. Unless the step is the plan's
+	// last, whose rows the working set keeps, its rows are dead once the
+	// rest of the pipeline has run their batch, and the slab is rewound.
 	merged rowSlab
+	last   bool
+}
+
+// joinBuild is one join step's build side, read-only once made: a
+// key→rows hash table (hash joins) or the materialized inner rows (nested
+// loops). Rows keep the build table's scan order per key, so each probe
+// row's matches come out in nested-loop order.
+type joinBuild struct {
+	// ht maps an encoded build key to its row list in lists.
+	ht    map[string]int
+	lists [][]db.Row
+	inner []db.Row
+	// rows counts the build's rows, which a kept build charges against
+	// maxKeptBuildRows.
+	rows int
+	// changes is the build table's change counter, read before the scan:
+	// the build holds no write newer than it.
+	changes uint64
 }
 
 // rowSlab cuts fixed-width working rows from shared backing arrays instead
 // of one make per row. The arrays start small and double up to one batch
 // of rows, so a statement producing a handful of rows does not pay for a
 // batch-sized allocation. Each row is cap-limited (three-index slice), so
-// appending to one can never write into its neighbour. Backing arrays are
-// never reused: rows cut from them may be retained in the statement's
-// working set.
+// appending to one can never write into its neighbour. A backing array is
+// reused only through rewind, by a caller whose rows are all dead: rows
+// cut from a slab may be retained in the statement's working set.
 type rowSlab struct {
 	width   int
 	n, maxN int // rows in the next backing array, and its cap
 	buf     db.Row
+	arr     db.Row // the backing array buf is cut from
 }
 
 // slabStartRows is the row count of a slab's first backing array.
@@ -70,15 +95,23 @@ func newRowSlab(width, batch int) rowSlab {
 	return rowSlab{width: width, n: min(slabStartRows, batch), maxN: batch}
 }
 
-// next returns a fresh zeroed row of the slab's width.
+// next returns a row of the slab's width: zeroed, unless the slab was
+// rewound.
 func (s *rowSlab) next() db.Row {
 	if len(s.buf) < s.width {
 		s.buf = make(db.Row, s.width*s.n)
+		s.arr = s.buf
 		s.n = min(2*s.n, s.maxN)
 	}
 	r := s.buf[:s.width:s.width]
 	s.buf = s.buf[s.width:]
 	return r
+}
+
+// rewind lets the slab cut its latest backing array again from the start,
+// once no row cut from it is live.
+func (s *rowSlab) rewind() {
+	s.buf = s.arr
 }
 
 // runPlan executes a planned SELECT and returns the working rows (narrowed
@@ -87,10 +120,12 @@ func (s *rowSlab) next() db.Row {
 // batch-at-a-time: the driving table's access path produces rowBatches that
 // flow through driver filters, join steps, and residual filters, with
 // planInfo counters and timers updated once per batch instead of once per
-// row. Within a batch the order is heap order, and batches concatenate in
-// production order, so results are byte-identical to row-at-a-time
-// execution (BatchSize=1 degenerates to exactly that).
-func (e *Engine) runPlan(qctx context.Context, pl *selectPlan, ectx *evalCtx) ([]db.Row, error) {
+// row; a join step cuts its output into batches of the same size. Within a
+// batch the order is heap order, and batches concatenate in production
+// order, so results are byte-identical to row-at-a-time execution
+// (BatchSize=1 degenerates to exactly that). kept is a cached template's
+// build slots (boundSelect.kept), nil on the cold paths.
+func (e *Engine) runPlan(qctx context.Context, pl *selectPlan, kept []*keptBuild, ectx *evalCtx) ([]db.Row, error) {
 	pi := pl.pi
 	bs := e.batchSize()
 	driver := pl.tables[pl.driver]
@@ -100,6 +135,10 @@ func (e *Engine) runPlan(qctx context.Context, pl *selectPlan, ectx *evalCtx) ([
 	for i := range pl.joins {
 		joins[i].step = &pl.joins[i]
 		joins[i].merged = newRowSlab(pl.width, bs)
+		joins[i].last = i == len(pl.joins)-1
+		if kept != nil {
+			joins[i].kept = kept[i]
+		}
 	}
 	var nBatches, nRows int64
 
@@ -137,6 +176,31 @@ func (e *Engine) runPlan(qctx context.Context, pl *selectPlan, ectx *evalCtx) ([
 		return out, nil
 	}
 
+	// through runs a batch through join step i and its after-predicates,
+	// then the later steps, then the residual filters into the working
+	// set. A step hands its output on in batches of at most bs rows, each
+	// run to the end of the pipeline before the step produces the next.
+	var through func(i int, batch []db.Row) error
+	through = func(i int, batch []db.Row) error {
+		if i == len(joins) {
+			batch, err := filterBatch(batch, pl.residual)
+			if err != nil {
+				return err
+			}
+			working = append(working, batch...)
+			pi.actFilter += int64(len(batch))
+			return nil
+		}
+		js := &joins[i]
+		return e.execJoinBatch(qctx, pl, js, batch, ectx, func(out []db.Row) error {
+			out, err := filterBatch(out, js.step.after)
+			if err != nil {
+				return err
+			}
+			return through(i+1, out)
+		})
+	}
+
 	processBatch := func(batch []db.Row) error {
 		nBatches++
 		nRows += int64(len(batch))
@@ -144,23 +208,7 @@ func (e *Engine) runPlan(qctx context.Context, pl *selectPlan, ectx *evalCtx) ([
 		if err != nil {
 			return err
 		}
-		for i := range joins {
-			batch, err = e.execJoinBatch(qctx, pl, &joins[i], i == len(joins)-1, batch, ectx)
-			if err != nil {
-				return err
-			}
-			batch, err = filterBatch(batch, joins[i].step.after)
-			if err != nil {
-				return err
-			}
-		}
-		batch, err = filterBatch(batch, pl.residual)
-		if err != nil {
-			return err
-		}
-		working = append(working, batch...)
-		pi.actFilter += int64(len(batch))
-		return nil
+		return through(0, batch)
 	}
 
 	// flush hands one full (or final partial) batch down the pipeline,
@@ -356,92 +404,160 @@ func (e *Engine) runPlan(qctx context.Context, pl *selectPlan, ectx *evalCtx) ([
 	return working, nil
 }
 
-// execJoinBatch runs one join step over a probe batch, accounting its wall
-// time (and, on the final step, its output cardinality) to the plan's join
-// stage.
-func (e *Engine) execJoinBatch(qctx context.Context, pl *selectPlan, js *joinState, last bool, batch []db.Row, ectx *evalCtx) ([]db.Row, error) {
+// execJoinBatch runs one join step over a probe batch, handing its output
+// batches to emit. It accounts the step's own wall time, without emit's,
+// to the plan's join stage, and on the final step the output cardinality.
+func (e *Engine) execJoinBatch(qctx context.Context, pl *selectPlan, js *joinState, batch []db.Row, ectx *evalCtx, emit func([]db.Row) error) error {
 	if len(batch) == 0 {
-		return batch, nil
+		return nil
 	}
 	pi := pl.pi
 	var t0 time.Time
+	var downstream time.Duration
 	if pi.timed {
 		t0 = time.Now()
 	}
-	out, err := e.joinBatch(qctx, pl, js, batch, ectx)
-	if err != nil {
-		return nil, err
-	}
+	err := e.joinBatch(qctx, pl, js, batch, ectx, func(out []db.Row) error {
+		if js.last {
+			pi.actJoined += int64(len(out))
+		}
+		if !pi.timed {
+			return emit(out)
+		}
+		t := time.Now()
+		err := emit(out)
+		downstream += time.Since(t)
+		return err
+	})
 	if pi.timed {
-		pi.joinNanos += time.Since(t0).Nanoseconds()
+		pi.joinNanos += (time.Since(t0) - downstream).Nanoseconds()
 	}
-	if last {
-		pi.actJoined += int64(len(out))
-	}
-	return out, nil
+	return err
 }
 
-// joinBatch produces the merged rows of one join step for one probe batch.
+// joinBatch produces the merged rows of one join step for one probe batch
+// and hands them to emit in batches of at most the engine's batch size.
 // Output order is probe order with each probe row's matches in the build
 // table's scan order — the same order a nested loop over the same join
 // sequence produces, which keeps batched execution bit-identical to
 // row-at-a-time.
-func (e *Engine) joinBatch(qctx context.Context, pl *selectPlan, js *joinState, batch []db.Row, ectx *evalCtx) ([]db.Row, error) {
+func (e *Engine) joinBatch(qctx context.Context, pl *selectPlan, js *joinState, batch []db.Row, ectx *evalCtx, emit func([]db.Row) error) error {
 	st := js.step
 	sl := pl.tables[st.slot]
-	merged := func(prow, brow db.Row) db.Row {
+	if js.b == nil {
+		b, err := e.joinBuildFor(qctx, pl, js, ectx)
+		if err != nil {
+			return err
+		}
+		js.b = b
+	}
+	b := js.b
+	if st.hash && len(b.ht) == 0 {
+		// Empty build side: nothing can join, and the probe keys need not
+		// be evaluated (so a key-type error cannot surface where the
+		// nested loop would never have compared anything).
+		return nil
+	}
+	bs := e.batchSize()
+	out := js.out[:0]
+	flush := func() error {
+		err := emit(out)
+		out = out[:0]
+		if !js.last {
+			js.merged.rewind()
+		}
+		return err
+	}
+	// add appends one merged row, handing on a full batch.
+	add := func(prow, brow db.Row) error {
 		m := js.merged.next()
 		copy(m, prow)
 		copy(m[sl.offset:], brow)
-		return m
-	}
-	if !js.built {
-		if err := e.buildJoin(qctx, pl, js, ectx); err != nil {
-			return nil, err
+		out = append(out, m)
+		if len(out) < bs {
+			return nil
 		}
+		return flush()
 	}
-	var out []db.Row
-	if st.hash {
-		if len(js.ht) == 0 {
-			// Empty build side: nothing can join, and the probe keys need
-			// not be evaluated (so a key-type error cannot surface where
-			// the nested loop would never have compared anything).
-			return nil, nil
-		}
-		for _, prow := range batch {
+	for _, prow := range batch {
+		rows := b.inner
+		if st.hash {
 			ectx.row = prow
 			key, ok, err := joinKey(ectx, st.probeKey, ectx.key[:0])
 			ectx.key = key
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if !ok {
 				continue
 			}
-			for _, brow := range js.ht[string(key)] {
-				out = append(out, merged(prow, brow))
+			i, ok := b.ht[string(key)]
+			if !ok {
+				continue
+			}
+			rows = b.lists[i]
+		}
+		for _, brow := range rows {
+			if err := add(prow, brow); err != nil {
+				return err
 			}
 		}
-		return out, nil
 	}
-	for _, prow := range batch {
-		for _, brow := range js.inner {
-			out = append(out, merged(prow, brow))
-		}
+	var err error
+	if len(out) > 0 {
+		err = flush()
 	}
-	return out, nil
+	js.out = out
+	return err
 }
 
-// buildJoin materializes a join step's build side: one scan of the joined
-// table, applying its pushed single-table predicates, into either a
-// key→rows hash table (insertion in scan order, preserving nested-loop
-// output order per probe row) or a row slice for the nested loop.
-func (e *Engine) buildJoin(qctx context.Context, pl *selectPlan, js *joinState, ectx *evalCtx) error {
-	st := js.step
+// joinBuildFor returns a join step's build side: the cached template's
+// kept build while its table is unchanged, otherwise a fresh one, which
+// the template keeps when it has a slot for it and the build fits the
+// engine's budget (see keptBuild). Concurrent executions of one template
+// build a kept step once: the first holds the slot's lock across the
+// build, and the rest take its result.
+func (e *Engine) joinBuildFor(qctx context.Context, pl *selectPlan, js *joinState, ectx *evalCtx) (*joinBuild, error) {
+	k := js.kept
+	if k == nil {
+		return e.buildJoin(qctx, pl, js.step, ectx)
+	}
+	tbl := pl.tables[js.step.slot].tbl
+	b := k.load(tbl)
+	if b == nil && !k.full.Load() {
+		k.mu.Lock()
+		defer k.mu.Unlock()
+		b = k.load(tbl)
+	}
+	if b != nil {
+		e.registry().Counter("sqlang.join.builds_reused").Inc()
+		return b, nil
+	}
+	b, err := e.buildJoin(qctx, pl, js.step, ectx)
+	// Only a lock holder finds full unset here. A kept build that went
+	// stale stays in place: its template is stale too, and leaves the
+	// cache on its next lookup.
+	if err != nil || k.full.Load() || k.b.Load() != nil {
+		return b, err
+	}
+	if e.plans.charge(k.owner, b.rows) {
+		k.b.Store(b)
+	} else {
+		k.full.Store(true)
+	}
+	return b, nil
+}
+
+// buildJoin makes a join step's build side: one scan of the joined table,
+// applying its pushed single-table predicates, into either a key→rows
+// hash table (insertion in scan order, preserving nested-loop output
+// order per probe row) or a row slice for the nested loop.
+func (e *Engine) buildJoin(qctx context.Context, pl *selectPlan, st *joinStep, ectx *evalCtx) (*joinBuild, error) {
 	sl := pl.tables[st.slot]
-	js.built = true
+	e.registry().Counter("sqlang.join.builds").Inc()
+	b := &joinBuild{changes: sl.tbl.Changes()}
 	if st.hash {
-		js.ht = make(map[string][]db.Row)
+		b.ht = make(map[string]int)
 	}
 	// Pushed predicates and build keys reference only this table's columns,
 	// evaluated through a scratch working row holding just its segment.
@@ -477,14 +593,24 @@ func (e *Engine) buildJoin(qctx context.Context, pl *selectPlan, js *joinState, 
 			if !ok {
 				return true
 			}
-			js.ht[string(key)] = append(js.ht[string(key)], row)
+			// One lookup per row; only a new key allocates its string.
+			if i, ok := b.ht[string(key)]; ok {
+				b.lists[i] = append(b.lists[i], row)
+			} else {
+				b.ht[string(key)] = len(b.lists)
+				b.lists = append(b.lists, []db.Row{row})
+			}
 		} else {
-			js.inner = append(js.inner, row)
+			b.inner = append(b.inner, row)
 		}
+		b.rows++
 		return true
 	})
 	if innerErr != nil {
-		return innerErr
+		return nil, innerErr
 	}
-	return err
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
 }

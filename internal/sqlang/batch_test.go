@@ -129,6 +129,45 @@ func TestLegacyExecutorMatchesCBO(t *testing.T) {
 	}
 }
 
+// TestChunkedJoinOutput: a join step hands its output on in batches and
+// rewinds its row slab between them unless it is the last step. A
+// three-table join whose steps each produce many batches must return the
+// rows computed straight from the data, at several batch sizes, and again
+// when its second execution probes the kept build sides.
+func TestChunkedJoinOutput(t *testing.T) {
+	const nParents, nChildren, nTags = 6, 90, 4
+	var want []db.Row
+	for c := 0; c < nChildren; c++ {
+		p := c % nParents
+		for k := 0; k < nTags; k++ {
+			want = append(want, db.Row{fmt.Sprintf("C%04d", c), fmt.Sprintf("P%03d", p), int64(10*(p%3) + k)})
+		}
+	}
+	queries := []string{
+		`SELECT child.cid, parent.id, tag.t FROM child JOIN parent ON child.fk = parent.id JOIN tag ON tag.org = parent.organism ORDER BY child.cid, tag.t`,
+		`SELECT child.cid, parent.id, tag.t FROM tag JOIN parent ON tag.org = parent.organism JOIN child ON child.fk = parent.id ORDER BY child.cid, tag.t`,
+	}
+	for _, batchSize := range []int{0, 1, 7} {
+		e := testEngine(t)
+		e.BatchSize = batchSize
+		setupJoinTables(t, e, nParents, nChildren)
+		mustExec(t, e, `CREATE TABLE tag (org string, t int)`)
+		for o := 0; o < 3; o++ {
+			for k := 0; k < nTags; k++ {
+				mustExec(t, e, fmt.Sprintf(`INSERT INTO tag VALUES ('org%d', %d)`, o, 10*o+k))
+			}
+		}
+		for _, q := range queries {
+			for run := 0; run < 2; run++ {
+				if got := mustExec(t, e, q); !reflect.DeepEqual(got.Rows, want) {
+					t.Fatalf("BatchSize=%d run %d %q: %d rows differ from the %d computed from the data",
+						batchSize, run, q, len(got.Rows), len(want))
+				}
+			}
+		}
+	}
+}
+
 // TestBatchCancellation: cancelling the statement's context mid-scan must
 // abort at the next batch boundary with the context's error, on both the
 // serial scan and the index (rid-list) access paths.

@@ -521,6 +521,9 @@ type boundSelect struct {
 	groupBy   []Expr
 	having    Expr
 	orderKeys []Expr
+	// kept holds a cached template's slots for its join steps' build
+	// sides, shared by every fork (see keptBuild); nil when not cached.
+	kept []*keptBuild
 }
 
 func (e *Engine) execSelect(qctx context.Context, s *SelectStmt) (*Result, error) {
@@ -579,7 +582,7 @@ func (e *Engine) runSelect(qctx context.Context, bs *boundSelect, start time.Tim
 	s, pl, items := bs.stmt, bs.pl, bs.items
 	pi := pl.pi
 	ctx := &evalCtx{breakJoinKeys: e.UnsafeBreakJoinKeys}
-	working, err := e.runPlan(qctx, pl, ctx)
+	working, err := e.runPlan(qctx, pl, bs.kept, ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -17,6 +17,13 @@ import (
 // the least recently used one is evicted past it.
 const planCacheSize = 256
 
+// maxKeptBuildRows bounds the join build rows all of an engine's templates
+// keep, together. It holds three times the largest build side the
+// repository's workloads reuse (perfbench's 40,000 reads), and at the
+// ~100 bytes of a narrowed row with a short string key it is ~13 MiB, well
+// under the buffer pool. A build that would cross it is not kept.
+const maxKeptBuildRows = 1 << 17
+
 // The plan cache lets a SELECT that differs from an earlier one only in
 // its literal values skip parsing, planning and binding.
 //
@@ -30,6 +37,18 @@ const planCacheSize = 256
 // literal (eqKey), the driver's index lookup, and the access estimate.
 // Expressions that evaluate a literal get per-execution copies
 // (withLits), and the plan text reads the values when it is rendered.
+//
+// A template also keeps the build side of each join step that reads no
+// numbered literal (no pushed predicate or build key holds one): the hash
+// table or the nested loop's inner rows, made by the first execution that
+// reaches the step and probed by the later ones instead of scanning the
+// build table again (keptBuild). A kept build is read-only once
+// published, lives as long as its template, and is used only while its
+// table's change counter is the one read before its scan. The builds all
+// templates keep are bounded together by maxKeptBuildRows; a template
+// leaving the cache returns its rows to that budget. Nothing else an
+// execution does writes the template, and nothing kept changes a plan or
+// its text.
 //
 // A template is reused only while every planner input it read is
 // unchanged: the table each name resolved to and its change counter,
@@ -46,7 +65,8 @@ const planCacheSize = 256
 // written between executions; planCache.lookup keeps a table written
 // between every read from paying for templates no read reuses.
 //
-// ExecStmtSQLCtx never consults the cache; it is the cold reference path.
+// ExecStmtSQLCtx never consults the cache and keeps no build; it is the
+// cold reference path, as are EXPLAIN and uncached plans.
 
 // Literal kinds in a template key.
 const (
@@ -201,8 +221,9 @@ func withLitsAll(xs []Expr, vals []any) (out []Expr, changed bool) {
 }
 
 // selectTemplate is one cached SELECT: its bound plan, which no execution
-// runs or writes (each runs a fork), and what the plan read. A template
-// with a nil plan is a churn marker (see planCache.lookup).
+// runs or writes (each runs a fork), the slots for its kept join builds,
+// and what the plan read. A template with a nil plan is a churn marker
+// (see planCache.lookup).
 type selectTemplate struct {
 	key string
 	bs  *boundSelect
@@ -211,6 +232,11 @@ type selectTemplate struct {
 	evalLits bool
 	// used is set by the template's first hit.
 	used atomic.Bool
+	// keptRows counts the build rows its slots hold against
+	// maxKeptBuildRows, and retired is set when it leaves the cache,
+	// after which it keeps nothing more. Both are guarded by planCache.mu.
+	keptRows int
+	retired  bool
 
 	deps     []tableDep
 	statsVer uint64
@@ -299,7 +325,36 @@ func (t *selectTemplate) adopt(key []byte, bs *boundSelect) bool {
 	}
 	t.key, t.bs = string(key), bs
 	t.evalLits = bs.holdsLits()
+	for i, st := range pl.joins {
+		if slices.ContainsFunc(st.pushed, holdsLit) || slices.ContainsFunc(st.buildKey, holdsLit) {
+			continue
+		}
+		if bs.kept == nil {
+			bs.kept = make([]*keptBuild, len(pl.joins))
+		}
+		bs.kept[i] = &keptBuild{owner: t}
+	}
 	return true
+}
+
+// keptBuild is a template's slot for the build side of one join step that
+// reads no numbered literal. The first execution to reach the step with
+// the slot empty builds under mu and publishes the build, if it fits the
+// engine's budget; full records that it did not, or that the template had
+// left the cache, and later executions then build for themselves.
+type keptBuild struct {
+	owner *selectTemplate
+	mu    sync.Mutex
+	b     atomic.Pointer[joinBuild]
+	full  atomic.Bool
+}
+
+// load returns the kept build while tbl has not changed since its scan.
+func (k *keptBuild) load(tbl *db.Table) *joinBuild {
+	if b := k.b.Load(); b != nil && b.changes == tbl.Changes() {
+		return b
+	}
+	return nil
 }
 
 // holdsLits reports whether any expression the executor evaluates, or any
@@ -474,6 +529,9 @@ type planCache struct {
 	mu      sync.Mutex
 	entries map[string]*list.Element // key → element holding *selectTemplate
 	lru     list.List                // front is most recently used
+	// keptRows is the build rows the cached templates keep, at most
+	// maxKeptBuildRows.
+	keptRows int
 }
 
 // lookup returns the current template for key, or nil and whether this
@@ -508,6 +566,7 @@ func (c *planCache) lookup(e *Engine, key []byte) (t *selectTemplate, cache bool
 	}
 	c.mu.Lock()
 	if c.entries[t.key] == el {
+		c.retireLocked(t)
 		if marker != nil {
 			el.Value = marker
 		} else {
@@ -548,6 +607,7 @@ func (c *planCache) put(e *Engine, t *selectTemplate) {
 		c.entries = make(map[string]*list.Element)
 	}
 	if el := c.entries[t.key]; el != nil {
+		c.retireLocked(el.Value.(*selectTemplate))
 		el.Value = t
 		c.lru.MoveToFront(el)
 	} else {
@@ -555,7 +615,9 @@ func (c *planCache) put(e *Engine, t *selectTemplate) {
 		if c.lru.Len() > planCacheSize {
 			last := c.lru.Back()
 			c.lru.Remove(last)
-			delete(c.entries, last.Value.(*selectTemplate).key)
+			old := last.Value.(*selectTemplate)
+			c.retireLocked(old)
+			delete(c.entries, old.key)
 			evicted = true
 		}
 	}
@@ -563,4 +625,25 @@ func (c *planCache) put(e *Engine, t *selectTemplate) {
 	if evicted {
 		e.registry().Counter("sqlang.plan_cache.evictions").Inc()
 	}
+}
+
+// charge counts n kept build rows against the budget for t, reporting
+// whether they fit; they do not once t has left the cache.
+func (c *planCache) charge(t *selectTemplate, n int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t.retired || c.keptRows+n > maxKeptBuildRows {
+		return false
+	}
+	c.keptRows += n
+	t.keptRows += n
+	return true
+}
+
+// retireLocked returns the build rows t keeps to the budget as t leaves
+// the cache. c.mu is held.
+func (c *planCache) retireLocked(t *selectTemplate) {
+	t.retired = true
+	c.keptRows -= t.keptRows
+	t.keptRows = 0
 }

@@ -229,7 +229,8 @@ var mutations = []struct {
 // rendered plans. Between executions it inserts and deletes rows of a
 // table the statement reads, builds an index on it, re-analyzes it, drops
 // and recreates it, and replaces external functions, each of which a
-// cached plan must notice.
+// cached plan must notice. The join statements' warm executions must
+// probe kept build sides (see keptBuild) at least once.
 func TestPlanCacheWarmEqualsCold(t *testing.T) {
 	corpus, err := regress.LoadCorpus(filepath.Join("regress", "testdata", "corpus"))
 	if err != nil {
@@ -237,7 +238,7 @@ func TestPlanCacheWarmEqualsCold(t *testing.T) {
 	}
 	pools := literalPools(corpus)
 	rng := rand.New(rand.NewSource(1))
-	var hits, invalidations int64
+	var hits, invalidations, reused int64
 	nmut := 0
 	for _, cf := range corpus {
 		d, err := regress.NewDB()
@@ -284,12 +285,13 @@ func TestPlanCacheWarmEqualsCold(t *testing.T) {
 		}
 		hits += e.Obs.Counter("sqlang.plan_cache.hits").Value()
 		invalidations += e.Obs.Counter("sqlang.plan_cache.invalidations").Value()
+		reused += e.Obs.Counter("sqlang.join.builds_reused").Value()
 		d.Close()
 	}
-	if hits == 0 || invalidations == 0 {
-		t.Fatalf("plan cache hits = %d, invalidations = %d: the warm path went unexercised", hits, invalidations)
+	if hits == 0 || invalidations == 0 || reused == 0 {
+		t.Fatalf("plan cache hits = %d, invalidations = %d, kept join builds reused = %d: the warm path went unexercised", hits, invalidations, reused)
 	}
-	t.Logf("%d plan-cache hits, %d invalidations, %d mutations", hits, invalidations, nmut)
+	t.Logf("%d plan-cache hits, %d invalidations, %d kept join builds reused, %d mutations", hits, invalidations, reused, nmut)
 }
 
 // TestPlanCacheShapeChanges walks the literal values that change a plan's
